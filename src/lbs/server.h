@@ -23,8 +23,8 @@ enum class RankingMode {
 };
 
 // Spatial index backend of the simulated service — invisible through the
-// interface (all backends return bit-identical results; see
-// spatial/backend.h for the selection trade-offs).
+// interface (both backends return bit-identical results; see
+// spatial/backend.h).
 using IndexBackend = SpatialBackend;
 
 // Server-side configuration mirroring the real-world interface constraints
@@ -52,9 +52,8 @@ struct ServerOptions {
 
   IndexBackend index_backend = IndexBackend::kKdTree;
 
-  // When set, the spatial index publishes its per-search work counters
-  // (spatial.kdtree.* / spatial.learned.*) to this registry. Opt-in —
-  // unlike the client and
+  // When set, the kd-tree index publishes its per-search work counters
+  // (spatial.kdtree.*) to this registry. Opt-in — unlike the client and
   // estimator layers there is no null-means-default fallback, because the
   // index search is the hottest loop in the system and only runs that emit
   // run reports should pay the per-search counter flush. Pass

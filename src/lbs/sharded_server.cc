@@ -142,9 +142,8 @@ ShardedLbsServer::ShardedLbsServer(const Dataset* dataset,
           .count();
 
   auto indexes = MakeSpatialIndexes(
-      options_.server.index_backend, shard_points, dataset_->box(),
-      options_.build_threads, options_.server.stats_registry,
-      &build_stats_.shard_build_ms);
+      options_.server.index_backend, shard_points, options_.build_threads,
+      options_.server.stats_registry, &build_stats_.shard_build_ms);
   for (int s = 0; s < num_shards; ++s) {
     shards_[s].index = std::move(indexes[s]);
   }

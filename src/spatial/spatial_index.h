@@ -11,17 +11,16 @@ namespace lbsagg {
 // One kNN search result: the index of the point in the indexed set and its
 // distance to the query location.
 //
-// Candidate ordering contract: every implementation ranks candidates by the
+// Candidate ordering contract: both implementations rank candidates by the
 // total order (squared distance, index) — squared distances are exact
-// products of coordinate differences, so the order is identical across
-// implementations regardless of traversal — and `distance` is the sqrt of
-// that squared distance. In particular, equidistant neighbors are returned
-// in ascending point-id order: ties are broken by index, deterministically,
-// on every backend. The kNN result of any two implementations over the
-// same point set is therefore bit-identical (spatial_equivalence_test.cc
-// enforces this — including the tie order directly, via ExpectTotalOrder —
-// and the LBS server relies on it to make the index backend invisible
-// through the interface).
+// products of coordinate differences, so the order does not depend on
+// traversal — and `distance` is the sqrt of that squared distance. In
+// particular, equidistant neighbors are returned in ascending point-id
+// order: ties are broken by index, deterministically. The kNN results of
+// KdTree and BruteForceIndex over the same point set are therefore
+// bit-identical (spatial_test.cc enforces this — including the tie order
+// directly, via ExpectTotalOrder — and the LBS server relies on it to make
+// the index backend invisible through the interface).
 struct Neighbor {
   int index = -1;
   double distance = 0.0;

@@ -153,12 +153,10 @@ TEST(ShardedServer, ProminenceBitIdentical) {
 TEST(ShardedServer, AlternateIndexBackendsBitIdentical) {
   const Dataset d = MakeDataset(1000, 23);
   const std::vector<Vec2> queries = MakeQueries(80, 37);
-  for (IndexBackend backend : {IndexBackend::kGrid, IndexBackend::kLearned}) {
-    ServerOptions opts;
-    opts.index_backend = backend;
-    ExpectBitIdentical(d, opts, {.num_shards = 8, .server = opts}, queries,
-                       5, nullptr, SpatialBackendName(backend));
-  }
+  ServerOptions opts;
+  opts.index_backend = IndexBackend::kBruteForce;
+  ExpectBitIdentical(d, opts, {.num_shards = 8, .server = opts}, queries, 5,
+                     nullptr, "brute");
 }
 
 TEST(ShardedServer, WithinRadiusMatchesBruteForceScan) {
