@@ -2,8 +2,7 @@
 // query exercises — kd-tree kNN search, top-k region refinement, and the
 // end-to-end LR cell computation — plus the client-side query memo. These
 // are the numbers tracked in BENCH_hotpath.json (regenerate with
-//   ./build/bench/micro_hotpath --benchmark_format=json \
-//       > BENCH_hotpath.json
+//   ./build/bench/micro_hotpath --benchmark_format=json > BENCH_hotpath.json
 // on a quiet machine; see DESIGN.md "Hot path & complexity").
 
 #include <cstdint>
@@ -33,6 +32,14 @@ std::vector<Vec2> RandomPoints(int n, uint64_t seed) {
   pts.reserve(n);
   for (int i = 0; i < n; ++i) pts.push_back(kBox.SamplePoint(rng));
   return pts;
+}
+
+std::vector<Vec2> QueryBatch(int count, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Vec2> qs;
+  qs.reserve(count);
+  for (int i = 0; i < count; ++i) qs.push_back(kBox.SamplePoint(rng));
+  return qs;
 }
 
 // ---------------------------------------------------------------------------
@@ -106,6 +113,46 @@ void BM_RefineScratch(benchmark::State& state) {
 BENCHMARK(BM_RefineScratch)->Arg(1)->Arg(3)->Arg(5);
 
 // ---------------------------------------------------------------------------
+// History: the query-free work of every LR cell. The history indexes its
+// settled prefix and scans the tail added since the last rebuild (doubling
+// from 128), so sizes of 2^j - 1 are the worst case: a tail of half the
+// history. BM_HistoryNearest is the §3.2.2 seed lookup (32 neighbors, the
+// LrCellOptions default); BM_UpperBoundCellArea is the §3.2.3 λ_h bound
+// (64 constraints) over a history of 8191 tuples, for h = 1, 3, 5.
+
+History RandomHistory(int64_t n) {
+  History history;
+  const auto pts = RandomPoints(static_cast<int>(n), 5);
+  for (int64_t i = 0; i < n; ++i) history.Record(static_cast<int>(i), pts[i]);
+  return history;
+}
+
+void BM_HistoryNearest(benchmark::State& state) {
+  const History history = RandomHistory(state.range(0));
+  const auto queries = QueryBatch(1024, 6);
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        history.NearestOtherPositions(queries[i++ & 1023], -1, 32));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HistoryNearest)->Arg(1023)->Arg(8191)->Arg(131071);
+
+void BM_UpperBoundCellArea(benchmark::State& state) {
+  const History history = RandomHistory(8191);
+  const int h = static_cast<int>(state.range(0));
+  const auto entries = history.Entries();
+  size_t i = 0;
+  for (auto _ : state) {
+    const auto& [id, pos] = entries[i++ % entries.size()];
+    benchmark::DoNotOptimize(history.UpperBoundCellArea(id, pos, kBox, h));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_UpperBoundCellArea)->Arg(1)->Arg(3)->Arg(5);
+
+// ---------------------------------------------------------------------------
 // Layer 3: end-to-end LR rounds — the exact Theorem-1 cell computation an
 // LR-LBS-AGG sample performs, including every interface query against the
 // simulated server. One iteration = one full cell (several refinement
@@ -167,14 +214,6 @@ const KdTree& KdOfSize(int64_t n) {
   auto it = cache->find(n);
   if (it == cache->end()) it = cache->emplace(n, PointsOfSize(n)).first;
   return it->second;
-}
-
-std::vector<Vec2> QueryBatch(int count, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<Vec2> qs;
-  qs.reserve(count);
-  for (int i = 0; i < count; ++i) qs.push_back(kBox.SamplePoint(rng));
-  return qs;
 }
 
 void BM_BuildKdTree(benchmark::State& state) {

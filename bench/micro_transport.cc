@@ -1,10 +1,10 @@
 // Transport-layer micro-benchmarks: overhead of the wire abstraction, cost
 // of the simulated policy pipeline, and dispatcher batch throughput at
-// 1/2/4/8 workers. These are the numbers tracked in BENCH_transport.json
-// (regenerate with
-//   ./build/bench/micro_transport --benchmark_format=json \
-//       > BENCH_transport.json
-// on a quiet machine; see DESIGN.md "Transport & fault model").
+// 1/2/4/8 workers. These are the numbers tracked in BENCH_transport.json,
+// regenerated on a quiet machine (see DESIGN.md "Transport & fault model")
+// by redirecting the standard output of
+//   ./build/bench/micro_transport --benchmark_format=json
+// into that file.
 
 #include <vector>
 

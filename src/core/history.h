@@ -1,6 +1,7 @@
 #ifndef LBSAGG_CORE_HISTORY_H_
 #define LBSAGG_CORE_HISTORY_H_
 
+#include <cstdint>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -28,9 +29,6 @@ class History {
   const Vec2& Position(int id) const;
   size_t size() const { return entries_.size(); }
 
-  // Positions of all known tuples except `excluded_id` (-1 = none).
-  std::vector<Vec2> OtherPositions(int excluded_id) const;
-
   // Every recorded (id, position) in insertion order — the checkpoint
   // serialization of the history. Replaying these through Record() on a
   // fresh History reproduces the full state bit-identically, kd-index
@@ -41,12 +39,22 @@ class History {
   // Positions of the `limit` known tuples nearest to `p`, excluding
   // `excluded_id`, ascending by (squared distance, insertion order). This is
   // query-free offline work (free in the paper's §2.1 cost model) but it
-  // runs once per cell computation, which made the linear scan the top
-  // wall-clock cost of an LR run; the scan is replaced by a kd-tree over
-  // the settled prefix of the history (rebuilt on doubling) plus a linear
-  // pass over the recent tail.
+  // runs once per cell computation. A kd-tree indexes the settled prefix of
+  // the history (rebuilt on doubling). The recent tail, up to half the
+  // history, is bucketed in a grid: a tail entry can be returned only when
+  // it is strictly closer than the limit-th tree result, so only the cells
+  // within that distance are read (the whole tail when the tree has fewer
+  // than `limit` admissible entries).
   std::vector<Vec2> NearestOtherPositions(const Vec2& p, int excluded_id,
                                           size_t limit) const;
+
+  // Number of the first `prefix` recorded tuples, other than `excluded_id`,
+  // strictly closer to `q` than `focal` is; counting stops at `cap`. Equals
+  // min(RankAt(q, focal, those positions), cap). The Monte-Carlo rank test
+  // of §3.2.4 asks whether this is below h over the history as it stood
+  // when the trials began.
+  int CountCloser(const Vec2& q, const Vec2& focal, int excluded_id,
+                  size_t prefix, int cap) const;
 
   // Upper bound λ_h on the area of the top-h Voronoi cell of the tuple at
   // `pos` (§3.2.3): the cell computed from a subset of the database always
@@ -68,10 +76,23 @@ class History {
   static constexpr size_t kIndexThreshold = 128;
   void RebuildIndex();
 
+  // Tail grid: a uniform grid of tail_side_² cells over the bounding box of
+  // the indexed prefix, laid at each rebuild. Each tail entry is threaded
+  // onto a singly linked list of its cell (coordinates clamped into the
+  // grid): tail_head_[cell] is the newest entry index, tail_next_[i -
+  // indexed_] the next older one, -1 ends a list.
+  int TailCoord(double v, double lo) const;
+  size_t TailCell(const Vec2& pos) const;
+
   std::vector<Entry> entries_;
   std::unordered_map<int, Vec2> by_id_;
   std::unique_ptr<KdTree> index_;  // over entries_[0..indexed_)
   size_t indexed_ = 0;
+  Vec2 tail_lo_;
+  double tail_inv_cell_ = 0.0;
+  int tail_side_ = 0;
+  std::vector<int32_t> tail_head_;
+  std::vector<int32_t> tail_next_;
 };
 
 }  // namespace lbsagg

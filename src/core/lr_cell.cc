@@ -222,7 +222,8 @@ LrCellComputer::Result LrCellComputer::ComputeInverseProbability(int id,
   for (const Vec2& v : outcome.confirmed_cover) {
     cover.emplace_back(v, Distance(v, pos));
   }
-  const std::vector<Vec2> history_others = history_->OtherPositions(id);
+  // Tuples recorded during the trials stay out of the rank test.
+  const size_t history_prefix = history_->size();
 
   int trials = 0;
   while (true) {
@@ -234,7 +235,7 @@ LrCellComputer::Result LrCellComputer::ComputeInverseProbability(int id,
 
     if (DiscCoveredBySingle(Circle(x, Distance(x, pos)), cover)) {
       // Rank of t at x is fully determined by history.
-      if (RankAt(x, pos, history_others) < h) break;
+      if (history_->CountCloser(x, pos, id, history_prefix, h) < h) break;
       continue;
     }
 

@@ -7,6 +7,26 @@
 
 namespace lbsagg {
 
+namespace {
+
+// One Sutherland–Hodgman step against the half-plane { side <= eps }: emits
+// `cur` if it is inside, then the crossing point if edge cur→nxt crosses.
+void ClipEdge(std::vector<Vec2>& out, const Vec2& cur, const Vec2& nxt,
+              double s_cur, double s_nxt, double eps) {
+  const bool in_cur = s_cur <= eps;
+  const bool in_nxt = s_nxt <= eps;
+  if (in_cur) out.push_back(cur);
+  if (in_cur != in_nxt) {
+    const double denom = s_cur - s_nxt;
+    if (std::abs(denom) > 1e-300) {
+      const double t = s_cur / denom;
+      out.push_back(cur + (nxt - cur) * t);
+    }
+  }
+}
+
+}  // namespace
+
 ConvexPolygon::ConvexPolygon(std::vector<Vec2> vertices)
     : vertices_(std::move(vertices)) {
   Normalize();
@@ -23,19 +43,17 @@ void ConvexPolygon::Normalize(double eps) {
     vertices_.clear();
     return;
   }
-  std::vector<Vec2> cleaned;
-  cleaned.reserve(vertices_.size());
+  // Compacts in place: vertices_[0..kept) is the cleaned prefix.
+  size_t kept = 0;
   for (const Vec2& v : vertices_) {
-    if (cleaned.empty() || Distance(cleaned.back(), v) > eps) {
-      cleaned.push_back(v);
+    if (kept == 0 || Distance(vertices_[kept - 1], v) > eps) {
+      vertices_[kept++] = v;
     }
   }
-  while (cleaned.size() >= 2 &&
-         Distance(cleaned.front(), cleaned.back()) <= eps) {
-    cleaned.pop_back();
+  while (kept >= 2 && Distance(vertices_[0], vertices_[kept - 1]) <= eps) {
+    --kept;
   }
-  if (cleaned.size() < 3) cleaned.clear();
-  vertices_ = std::move(cleaned);
+  vertices_.resize(kept < 3 ? 0 : kept);
 }
 
 double ConvexPolygon::Area() const {
@@ -82,33 +100,42 @@ bool ConvexPolygon::Contains(const Vec2& p, double eps) const {
 
 ConvexPolygon ConvexPolygon::Clip(const HalfPlane& hp, double eps) const {
   if (IsEmpty()) return {};
-  std::vector<Vec2> out;
-  out.reserve(vertices_.size() + 1);
   const size_t n = vertices_.size();
+  std::vector<Vec2> out;
+  out.reserve(n + 1);
+  double s_cur = hp.line.Side(vertices_[0]);
   for (size_t i = 0; i < n; ++i) {
-    const Vec2& cur = vertices_[i];
     const Vec2& nxt = vertices_[(i + 1) % n];
-    const double s_cur = hp.line.Side(cur);
     const double s_nxt = hp.line.Side(nxt);
-    const bool in_cur = s_cur <= eps;
-    const bool in_nxt = s_nxt <= eps;
-    if (in_cur) out.push_back(cur);
-    if (in_cur != in_nxt) {
-      const double denom = s_cur - s_nxt;
-      if (std::abs(denom) > 1e-300) {
-        const double t = s_cur / denom;
-        out.push_back(cur + (nxt - cur) * t);
-      }
-    }
+    ClipEdge(out, vertices_[i], nxt, s_cur, s_nxt, eps);
+    s_cur = s_nxt;
   }
   return ConvexPolygon(std::move(out));
 }
 
 std::pair<ConvexPolygon, ConvexPolygon> ConvexPolygon::Split(
     const Line& line, double eps) const {
-  ConvexPolygon neg = Clip(HalfPlane(line), eps);
-  ConvexPolygon pos = Clip(HalfPlane(Line(-line.normal, -line.offset)), eps);
-  return {std::move(neg), std::move(pos)};
+  if (IsEmpty()) return {};
+  // One pass that evaluates Side() once per vertex and feeds both halves.
+  // The positive half is Clip() against the negated line, whose side values
+  // are exactly -s in IEEE arithmetic (up to the sign of an exact zero,
+  // which only ever produces a duplicate of `cur` that Normalize drops), so
+  // both halves are bit-identical to the two Clip() calls.
+  const size_t n = vertices_.size();
+  std::vector<Vec2> neg;
+  std::vector<Vec2> pos;
+  neg.reserve(n + 1);
+  pos.reserve(n + 1);
+  double s_cur = line.Side(vertices_[0]);
+  for (size_t i = 0; i < n; ++i) {
+    const Vec2& cur = vertices_[i];
+    const Vec2& nxt = vertices_[(i + 1) % n];
+    const double s_nxt = line.Side(nxt);
+    ClipEdge(neg, cur, nxt, s_cur, s_nxt, eps);
+    ClipEdge(pos, cur, nxt, -s_cur, -s_nxt, eps);
+    s_cur = s_nxt;
+  }
+  return {ConvexPolygon(std::move(neg)), ConvexPolygon(std::move(pos))};
 }
 
 Vec2 ConvexPolygon::SamplePoint(Rng& rng) const {

@@ -51,7 +51,8 @@ class ConvexPolygon {
 
   // Splits the polygon by the line into (negative side, positive side),
   // matching HalfPlane semantics: `first` is where Side(p) <= 0. Either part
-  // may be empty.
+  // may be empty. Bit-identical to Clip() against the line and against its
+  // negation, in one pass.
   std::pair<ConvexPolygon, ConvexPolygon> Split(const Line& line,
                                                 double eps = 0.0) const;
 

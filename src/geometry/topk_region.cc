@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -56,21 +57,23 @@ EdgeKey UndirectedKey(const PointKey& a, const PointKey& b) {
 }
 
 // One convex piece of a level-region decomposition together with the number
-// of lines whose positive side contains it.
+// of lines whose positive side contains it and its area (computed once, when
+// the piece is made).
 struct LevelPiece {
   ConvexPolygon poly;
   int closer_count = 0;
+  double area = 0.0;
 };
 
 // Applies one oriented line to the piece set: pieces fully on the negative
 // side pass through, pieces fully on the positive side gain a closer-count
-// (and die at k), straddling pieces split. Returns true if any piece
-// changed (split, count bump, or drop) — i.e. if the live bounding box may
-// have shrunk.
-bool ApplyLine(std::vector<LevelPiece>& pieces, const Line& line, int k,
-               double area_eps) {
-  std::vector<LevelPiece> next;
-  next.reserve(pieces.size() + 4);
+// (and die at k), straddling pieces split. `next` is caller-owned scratch,
+// swapped with `pieces` on return so both buffers keep their capacity across
+// lines. Returns true if any piece changed (split, count bump, or drop) —
+// i.e. if the live bounding box may have shrunk.
+bool ApplyLine(std::vector<LevelPiece>& pieces, std::vector<LevelPiece>& next,
+               const Line& line, int k, double area_eps) {
+  next.clear();
   bool changed = false;
   for (LevelPiece& piece : pieces) {
     bool any_neg = false;
@@ -91,16 +94,29 @@ bool ApplyLine(std::vector<LevelPiece>& pieces, const Line& line, int k,
       if (piece.closer_count < k) next.push_back(std::move(piece));
       continue;
     }
-    auto [neg, pos] = piece.poly.Split(line);
-    if (!neg.IsEmpty() && neg.Area() > area_eps) {
-      next.push_back({std::move(neg), piece.closer_count});
+    // A positive half that would reach k is dropped, so it is not built.
+    const bool keep_pos = piece.closer_count + 1 < k;
+    ConvexPolygon neg;
+    ConvexPolygon pos;
+    if (keep_pos) {
+      std::tie(neg, pos) = piece.poly.Split(line);
+    } else {
+      neg = piece.poly.Clip(HalfPlane(line));
     }
-    if (!pos.IsEmpty() && pos.Area() > area_eps &&
-        piece.closer_count + 1 < k) {
-      next.push_back({std::move(pos), piece.closer_count + 1});
+    if (!neg.IsEmpty()) {
+      const double area = neg.Area();
+      if (area > area_eps) {
+        next.push_back({std::move(neg), piece.closer_count, area});
+      }
+    }
+    if (!pos.IsEmpty()) {
+      const double area = pos.Area();
+      if (area > area_eps) {
+        next.push_back({std::move(pos), piece.closer_count + 1, area});
+      }
     }
   }
-  pieces = std::move(next);
+  pieces.swap(next);
   return changed;
 }
 
@@ -150,7 +166,7 @@ TopkRegion FinalizeRegion(std::vector<LevelPiece> pieces,
   TopkRegion region;
   region.pieces.reserve(pieces.size());
   for (LevelPiece& piece : pieces) {
-    region.area += piece.poly.Area();
+    region.area += piece.area;
     region.pieces.push_back(std::move(piece.poly));
   }
   if (region.pieces.empty()) return region;
@@ -205,28 +221,32 @@ TopkRegion FinalizeRegion(std::vector<LevelPiece> pieces,
   return region;
 }
 
-// Shared pruned clip loop. `half_dists`, when given, holds for each line a
-// lower bound on its distance to `focal` (d(t,o)/2 for bisectors) in
-// ascending order: once a line's bound exceeds the farthest live corner
-// plus the margin, every remaining line is prunable and the loop breaks.
-TopkRegion LevelRegionPruned(const std::vector<Line>& lines,
-                             const ConvexPolygon& domain, int k,
-                             const Vec2* focal,
-                             const std::vector<double>* half_dists) {
+// Shared pruned clip loop; returns the surviving pieces. `half_dists`,
+// when given, holds for each line a lower bound on its distance to `focal`
+// (d(t,o)/2 for bisectors) in ascending order: once a line's bound exceeds
+// the farthest live corner plus the margin, every remaining line is prunable
+// and the loop breaks. `active`, when given, receives the lines that were
+// applied (the boundary probes of FinalizeRegion need exactly those).
+std::vector<LevelPiece> LevelPiecesPruned(const std::vector<Line>& lines,
+                                          const ConvexPolygon& domain, int k,
+                                          const Vec2* focal,
+                                          const std::vector<double>* half_dists,
+                                          std::vector<Line>* active) {
   LBSAGG_CHECK_GE(k, 1);
   LBSAGG_CHECK(!domain.IsEmpty());
 
+  const double domain_area = domain.Area();
   std::vector<LevelPiece> pieces;
-  pieces.push_back({domain, 0});
-  const double area_eps = domain.Area() * 1e-14;
+  pieces.push_back({domain, 0, domain_area});
+  std::vector<LevelPiece> next;
+  const double area_eps = domain_area * 1e-14;
 
   Box bbox = domain.BoundingBox();
   const double margin = DomainScale(bbox) * 1e-6;
   double r_far = focal ? FarthestCornerDistance(bbox, *focal) : 0.0;
   bool dirty = false;
 
-  std::vector<Line> active;
-  active.reserve(lines.size());
+  if (active) active->reserve(lines.size());
   for (size_t i = 0; i < lines.size(); ++i) {
     if (dirty) {
       bbox = PiecesBoundingBox(pieces);
@@ -235,10 +255,20 @@ TopkRegion LevelRegionPruned(const std::vector<Line>& lines,
     }
     if (half_dists && (*half_dists)[i] > r_far + margin) break;
     if (NegativeWithMargin(lines[i], bbox, margin)) continue;
-    active.push_back(lines[i]);
-    if (ApplyLine(pieces, lines[i], k, area_eps)) dirty = true;
+    if (active) active->push_back(lines[i]);
+    if (ApplyLine(pieces, next, lines[i], k, area_eps)) dirty = true;
     if (pieces.empty()) break;
   }
+  return pieces;
+}
+
+TopkRegion LevelRegionPruned(const std::vector<Line>& lines,
+                             const ConvexPolygon& domain, int k,
+                             const Vec2* focal,
+                             const std::vector<double>* half_dists) {
+  std::vector<Line> active;
+  std::vector<LevelPiece> pieces =
+      LevelPiecesPruned(lines, domain, k, focal, half_dists, &active);
   return FinalizeRegion(std::move(pieces), active, domain, k);
 }
 
@@ -313,12 +343,14 @@ TopkRegion ComputeLevelRegionFromLinesUnpruned(const std::vector<Line>& lines,
   LBSAGG_CHECK_GE(k, 1);
   LBSAGG_CHECK(!domain.IsEmpty());
 
+  const double domain_area = domain.Area();
   std::vector<LevelPiece> pieces;
-  pieces.push_back({domain, 0});
-  const double area_eps = domain.Area() * 1e-14;
+  pieces.push_back({domain, 0, domain_area});
+  std::vector<LevelPiece> next;
+  const double area_eps = domain_area * 1e-14;
 
   for (const Line& line : lines) {
-    ApplyLine(pieces, line, k, area_eps);
+    ApplyLine(pieces, next, line, k, area_eps);
     if (pieces.empty()) break;
   }
   return FinalizeRegion(std::move(pieces), lines, domain, k);
@@ -365,6 +397,21 @@ TopkRegion ComputeTopkRegion(const Vec2& focal,
   std::vector<double> half_dists;
   SortedBisectors(focal, others, lines, half_dists);
   return LevelRegionPruned(lines, domain, k, &focal, &half_dists);
+}
+
+double ComputeTopkRegionArea(const Vec2& focal,
+                             const std::vector<Vec2>& others, const Box& box,
+                             int k) {
+  std::vector<Line> lines;
+  std::vector<double> half_dists;
+  SortedBisectors(focal, others, lines, half_dists);
+  const std::vector<LevelPiece> pieces =
+      LevelPiecesPruned(lines, ConvexPolygon::FromBox(box), k, &focal,
+                        &half_dists, /*active=*/nullptr);
+  // Same summation order as FinalizeRegion, so the sum is bit-identical.
+  double area = 0.0;
+  for (const LevelPiece& piece : pieces) area += piece.area;
+  return area;
 }
 
 TopkRegion ComputeTopkRegionUnpruned(const Vec2& focal,

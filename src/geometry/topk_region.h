@@ -105,6 +105,13 @@ ConvexPolygon InscribedCirclePolygon(const Vec2& center, double radius,
 TopkRegion ComputeTopkRegion(const Vec2& focal, const std::vector<Vec2>& others,
                              const Box& box, int k);
 
+// ComputeTopkRegion(focal, others, box, k).area, bit for bit, without
+// materializing the region: the pieces' areas are summed in the same order
+// and the boundary extraction is skipped. The λ_h bound of §3.2.3 reads
+// only the area.
+double ComputeTopkRegionArea(const Vec2& focal, const std::vector<Vec2>& others,
+                             const Box& box, int k);
+
 }  // namespace lbsagg
 
 #endif  // LBSAGG_GEOMETRY_TOPK_REGION_H_

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
+#include <unordered_set>
 
+#include "geometry/loc_key.h"
 #include "util/check.h"
 
 namespace lbsagg {
@@ -40,23 +41,12 @@ std::vector<Vec2> Dataset::Positions() const {
 
 int Dataset::JitterDuplicates(Rng& rng, double eps) {
   LBSAGG_CHECK_GT(eps, 0.0);
-  struct Key {
-    int64_t x, y;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    size_t operator()(const Key& k) const {
-      return std::hash<int64_t>()(k.x * 1000003 ^ k.y);
-    }
-  };
   int moved = 0;
-  std::unordered_map<Key, int, KeyHash> seen;
+  std::unordered_set<LocKey, LocKeyHash> seen;
+  seen.reserve(tuples_.size());
   for (Tuple& t : tuples_) {
     while (true) {
-      const Key key{static_cast<int64_t>(std::llround(t.pos.x / eps)),
-                    static_cast<int64_t>(std::llround(t.pos.y / eps))};
-      auto [it, inserted] = seen.emplace(key, t.id);
-      if (inserted) break;
+      if (seen.insert(MakeLocKey(t.pos, eps)).second) break;
       const double angle = rng.Uniform(0.0, 2.0 * M_PI);
       t.pos = box_.Clamp(t.pos + Vec2{std::cos(angle), std::sin(angle)} *
                                      (eps * (2.0 + rng.Uniform01())));

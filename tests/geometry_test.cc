@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -167,6 +168,58 @@ TEST(ConvexPolygon, SplitAreasSumToWhole) {
     const ConvexPolygon p = ConvexPolygon::FromBox(box);
     const auto [neg, pos] = p.Split(Line::Bisector(a, b));
     EXPECT_NEAR(neg.Area() + pos.Area(), p.Area(), 1e-6);
+  }
+}
+
+// Bit-level vertex equality (the sign of zero included).
+void ExpectSameVertices(const ConvexPolygon& a, const ConvexPolygon& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&a.vertices()[i], &b.vertices()[i], sizeof(Vec2)),
+              0)
+        << "vertex " << i;
+  }
+}
+
+// Split evaluates each side value once and feeds both halves; the halves
+// must equal the two Clip() calls it replaces bit for bit, including when
+// vertices lie exactly on the line (integer coordinates and lines through
+// vertices make side values of exactly zero).
+TEST(ConvexPolygon, SplitMatchesTwoClipsBitExact) {
+  const auto check = [](const ConvexPolygon& p, const Line& line) {
+    const auto [neg, pos] = p.Split(line);
+    ExpectSameVertices(neg, p.Clip(HalfPlane(line)));
+    const Line negated(-line.normal, -line.offset);
+    ExpectSameVertices(pos, p.Clip(HalfPlane(negated)));
+  };
+  const ConvexPolygon square = ConvexPolygon::FromBox(Box({0, 0}, {4, 4}));
+  check(square, Line({1, -1}, 0));   // diagonal through two vertices
+  check(square, Line({-1, 1}, 0));
+  check(square, Line({1, 0}, 0));    // along an edge
+  check(square, Line({1, 0}, 4));
+  check(square, Line({1, 0}, 2));    // through two edge midpoints
+  check(square, Line({1, 1}, 0));    // touching one vertex
+  check(square, Line({1, 1}, 2));    // through one vertex and across
+  check(square, Line({1, 2}, 8));
+  check(square, Line({1, 0}, 9));    // misses the polygon
+  check(ConvexPolygon(), Line({1, 0}, 0));
+
+  Rng rng(21);
+  const Box box({-10, -10}, {10, 10});
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<Vec2> pts;
+    for (int i = 0; i < 8; ++i) {
+      const Vec2 v = box.SamplePoint(rng);
+      pts.push_back(trial % 2 ? Vec2{std::round(v.x), std::round(v.y)} : v);
+    }
+    const ConvexPolygon hull = ConvexPolygon::ConvexHull(pts);
+    if (hull.IsEmpty()) continue;
+    const auto& vs = hull.vertices();
+    const Vec2& a = vs[trial % vs.size()];
+    const Vec2& b = vs[(trial / 2 + 1) % vs.size()];
+    if (a != b) check(hull, Line::Through(a, b));
+    check(hull, Line::Bisector(box.SamplePoint(rng), box.SamplePoint(rng)));
+    check(hull, Line({std::round(a.y) - 1, 1}, std::round(a.x)));
   }
 }
 

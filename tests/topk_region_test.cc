@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -297,6 +298,41 @@ TEST(TopkRegionPruning, LevelRegionFromLinesMatchesUnpruned) {
         ComputeLevelRegionFromLinesUnpruned(lines, domain, h);
     EXPECT_EQ(pruned.area, reference.area) << "h " << h;
     EXPECT_EQ(pruned.pieces.size(), reference.pieces.size()) << "h " << h;
+  }
+}
+
+// The λ_h bound reads only the area, through a path that skips boundary
+// extraction; it must return ComputeTopkRegion's area double bit for bit.
+TEST(TopkRegionPruning, AreaOnlyMatchesRegionAreaBitExact) {
+  const auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  for (const uint64_t seed : {31u, 32u, 33u}) {
+    Rng rng(seed);
+    const std::vector<Vec2> random = RandomPoints(40, rng);
+    // Duplicate-laden: 40 draws from 8 sites, focal among them.
+    std::vector<Vec2> dups;
+    for (int i = 0; i < 40; ++i) dups.push_back(random[rng.UniformInt(8)]);
+    // Collinear: every point on one line, and a focal point off it.
+    std::vector<Vec2> line;
+    for (int i = 0; i < 20; ++i) {
+      const double x = rng.Uniform(0.0, 100.0);
+      line.push_back({x, 0.5 * x + 10});
+    }
+    const std::vector<std::pair<Vec2, std::vector<Vec2>>> cases = {
+        {random[0], OthersOf(random, 0)},
+        {dups[0], dups},
+        {line[0], OthersOf(line, 0)},
+        {{50, 80}, line},
+    };
+    for (const auto& [focal, others] : cases) {
+      for (int k = 1; k <= 5; ++k) {
+        const double full = ComputeTopkRegion(focal, others, kBox, k).area;
+        const double area = ComputeTopkRegionArea(focal, others, kBox, k);
+        EXPECT_TRUE(same_bits(full, area))
+            << "seed " << seed << " k " << k << ": " << full << " vs " << area;
+      }
+    }
   }
 }
 
