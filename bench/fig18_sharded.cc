@@ -204,8 +204,9 @@ int main(int argc, char** argv) {
         (void)transport.Fulfill(plan, q, k, nullptr);
       }
       const double wall_ms = NowMs() - w0;
-      for (int lane = 0; lane < shard_counts[s]; ++lane) {
-        fanout += transport.ShardMetrics(lane).requests;
+      // One lane sub-request per reachable shard.
+      for (const Vec2& q : queries) {
+        fanout += servers[s]->ReachableShards(q).size();
       }
       ThroughputRow row;
       row.shards = shard_counts[s];

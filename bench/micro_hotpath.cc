@@ -1,7 +1,7 @@
 // Hot-path micro-benchmarks: the three substrate layers every estimator
 // query exercises — kd-tree kNN search, top-k region refinement, and the
-// end-to-end LR cell computation — plus the client-side query memo. These
-// are the numbers tracked in BENCH_hotpath.json (regenerate with
+// end-to-end LR cell computation. These are the numbers tracked in
+// BENCH_hotpath.json (regenerate with
 //   ./build/bench/micro_hotpath --benchmark_format=json > BENCH_hotpath.json
 // on a quiet machine; see DESIGN.md "Hot path & complexity").
 
@@ -156,8 +156,7 @@ BENCHMARK(BM_UpperBoundCellArea)->Arg(1)->Arg(3)->Arg(5);
 // Layer 3: end-to-end LR rounds — the exact Theorem-1 cell computation an
 // LR-LBS-AGG sample performs, including every interface query against the
 // simulated server. One iteration = one full cell (several refinement
-// rounds). The memo benchmark re-computes cells of neighboring tuples,
-// which re-probe overlapping vertex sets — the memo's target workload.
+// rounds), cycling over cells of neighboring tuples.
 
 struct LrFixture {
   UsaScenario usa;
@@ -170,11 +169,10 @@ struct LrFixture {
         sampler(usa.dataset->box()) {}
 };
 
-void BM_LrExactCell(benchmark::State& state, bool memoize) {
+void BM_LrExactCell(benchmark::State& state) {
   static const LrFixture* fixture = new LrFixture(11);
   const auto& positions = fixture->usa.dataset->Positions();
-  LrClient client(&fixture->server,
-                  {.k = 5, .memoize_queries = memoize});
+  LrClient client(&fixture->server, {.k = 5});
   History history;
   LrCellComputer computer(&client, &history, &fixture->sampler);
   int id = 0;
@@ -185,17 +183,8 @@ void BM_LrExactCell(benchmark::State& state, bool memoize) {
   }
   state.SetItemsProcessed(state.iterations());
   state.counters["queries"] = static_cast<double>(client.queries_used());
-  state.counters["memo_hits"] = static_cast<double>(client.memo_hits());
 }
-
-void BM_LrExactCellNoMemo(benchmark::State& state) {
-  BM_LrExactCell(state, /*memoize=*/false);
-}
-void BM_LrExactCellMemo(benchmark::State& state) {
-  BM_LrExactCell(state, /*memoize=*/true);
-}
-BENCHMARK(BM_LrExactCellNoMemo);
-BENCHMARK(BM_LrExactCellMemo);
+BENCHMARK(BM_LrExactCell);
 
 // ---------------------------------------------------------------------------
 // kd-tree scaling: build cost and k=10 query cost at 10^5..10^7 points.

@@ -7,18 +7,18 @@
 // regardless of worker count (see DESIGN.md "Transport & fault model").
 //
 // Prints the clean-wire baseline next to the flaky run, then the
-// transport's metrics as JSON. This is also the reference wiring of the
-// observability plane (DESIGN.md §4.8):
+// transport's transport.* metric cells as JSON. This is also the reference
+// wiring of the observability plane (DESIGN.md §4.8):
 //
 //   --trace=out.json   write the flaky run's span tree (estimator rounds,
 //                      cell computations, client queries, transport
 //                      requests/attempts) as Chrome trace_event JSON on the
 //                      transport's virtual-time axis; open it in Perfetto
 //                      (ui.perfetto.dev) or chrome://tracing.
-//   --report=out.json  write the merged RunReport: run meta + RunningStats,
-//                      every layer's counters/gauges/histograms, and the
-//                      TransportMetrics JSON as a "transport" section.
-//                      Validated by tools/validate_report.py.
+//   --report=out.json  write the merged RunReport: run meta + RunningStats
+//                      and every layer's counters/gauges/histograms, the
+//                      transport's included. Validated by
+//                      tools/validate_report.py.
 
 #include <cstdio>
 #include <fstream>
@@ -32,7 +32,6 @@
 #include "obs/report.h"
 #include "obs/trace.h"
 #include "transport/async_dispatcher.h"
-#include "transport/metrics.h"
 #include "transport/simulated_transport.h"
 #include "util/flags.h"
 #include "util/table.h"
@@ -148,21 +147,19 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(kBudget));
   table.Print();
 
-  const TransportMetrics metrics = transport.Metrics();
   std::printf("\nSimulated %.1f s of service time at 4 dispatcher workers "
               "(deterministic for\nany worker count under a fixed seed).\n",
               transport.VirtualNowMs() / 1000.0);
-  std::printf("\nTransport metrics:\n%s\n", metrics.ToJson(2).c_str());
+  std::printf("\nTransport metrics:\n%s\n",
+              registry.Snapshot().Under("transport.").ToJson(2).c_str());
 
-  // Bridge the transport's own accounting onto the metric plane, then
-  // assemble the one-artifact view of the flaky run.
-  PublishTransportMetrics(metrics, &registry);
+  // The transport recorded straight into the metric plane; assemble the
+  // one-artifact view of the flaky run.
   obs::RunReport report = BuildRunReport("nno", run, &registry);
   report.SetMeta("example", "flaky_service");
   report.SetMetaNum("budget", static_cast<double>(kBudget));
   report.SetMetaNum("truth", truth);
   report.SetMetaNum("virtual_time_ms", transport.VirtualNowMs());
-  report.AddJsonSection("transport", metrics.ToJson(2));
 
   int exit_code = 0;
   if (!trace_path.empty()) {

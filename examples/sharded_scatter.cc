@@ -9,6 +9,7 @@
 // retries surfaces as a *typed* failure instead of a silently short page.
 
 #include <cstdio>
+#include <string>
 
 #include "core/aggregate.h"
 #include "core/lr_agg.h"
@@ -17,6 +18,7 @@
 #include "lbs/client.h"
 #include "lbs/server.h"
 #include "lbs/sharded_server.h"
+#include "obs/metrics.h"
 #include "transport/sharded_transport.h"
 #include "workload/scenarios.h"
 
@@ -47,7 +49,13 @@ int main() {
   topts.shard_faults[5].transient_error_rate = 0.4;  // one hot shard
   topts.retry.max_attempts = 8;
   topts.seed = 0xf1a;
+  obs::MetricsRegistry registry;  // the wire's transport.* cells
+  topts.registry = &registry;
   ShardedTransport transport(&sharded, topts);
+  const auto counter = [&registry](const std::string& name) {
+    return static_cast<unsigned long long>(
+        registry.GetCounter(name)->Value());
+  };
 
   // Same probes through both stacks: every delivered sharded reply must
   // equal the monolithic page bit for bit, retried lanes included.
@@ -68,14 +76,12 @@ int main() {
     }
     identical += same;
   }
-  const TransportMetrics hot = transport.ShardMetrics(5);
   std::printf("scatter-gather vs monolithic (shard 5 hot)\n");
   std::printf("  delivered     : %d/200\n", compared);
   std::printf("  bit-identical : %d/%d\n", identical, compared);
   std::printf("  hot-lane retries: %llu (other lanes: %llu)\n",
-              static_cast<unsigned long long>(hot.retries),
-              static_cast<unsigned long long>(
-                  transport.ShardMetrics(0).retries));
+              counter(obs::ShardMetricName("transport", 5, "retries")),
+              counter(obs::ShardMetricName("transport", 0, "retries")));
 
   // The estimator neither knows nor cares about the topology: same trace
   // over the sharded wire as over the monolithic stack.
@@ -91,6 +97,6 @@ int main() {
               100.0 * RelativeError(run.final_estimate, truth));
   std::printf("  queries spent : %llu (critical-path attempts: %llu)\n",
               static_cast<unsigned long long>(run.queries),
-              static_cast<unsigned long long>(transport.Metrics().attempts));
+              counter("transport.attempts"));
   return 0;
 }

@@ -56,9 +56,9 @@ struct CheckpointData {
   uint64_t round = 0;         // committed rounds at the boundary
   uint64_t observations = 0;  // cumulative observations in those rounds
   uint64_t queries_used = 0;  // client's interface-query counter
-  // Commutative hash of the client's memo table (0 = empty). Memo contents
-  // are not checkpointed, so a non-zero hash makes the run non-resumable:
-  // re-executed rounds would hit a cold memo and charge different queries.
+  // Hash of a client-side query memo that older builds kept (0 = none).
+  // This build always writes 0; a non-zero value read from an old file makes
+  // the run non-resumable: re-executed rounds would charge different queries.
   uint64_t memo_hash = 0;
   std::string resolver_name;   // CellResolver::name() — family match check
   std::string resolver_state;  // CellResolver::SaveState blob

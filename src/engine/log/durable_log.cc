@@ -103,7 +103,6 @@ CheckpointData BuildCheckpoint(const EstimationEngine& engine,
   data.round = engine.evidence().num_rounds();
   data.observations = engine.evidence().num_observations();
   data.queries_used = client.queries_used();
-  data.memo_hash = client.MemoStateHash();
   const CellResolver* resolver = engine.resolver();
   data.resolver_name = resolver->name();
   resolver->SaveState(&data.resolver_state);
@@ -202,10 +201,6 @@ std::string ApplyCheckpoint(const RecoveredRun& rec, EstimationEngine* engine,
     return "interrupted run used a warm query memo; memo contents are not "
            "durable, so a resumed run would charge different queries — "
            "resume refused";
-  }
-  if (client->MemoStateHash() != 0) {
-    return "resuming client already holds memo entries the interrupted run "
-           "did not have — resume refused";
   }
   if (!rec.found_checkpoint) return "";  // fresh start: nothing to restore
 

@@ -11,10 +11,9 @@
 namespace lbsagg {
 
 // Quantized 2-D location key: the identity of a query/vertex location up to
-// a grid resolution. Shared by the Voronoi refinement loops (deduplicating
-// vertex queries within a cell computation) and the client-side query memo
-// (deduplicating identical interface queries across cells and rounds) so
-// both agree on what "the same location" means.
+// a grid resolution. The LR and LNR refinement loops use it to deduplicate
+// vertex queries within one cell computation, and Dataset::JitterDuplicates
+// to find co-located tuples.
 struct LocKey {
   int64_t x = 0;
   int64_t y = 0;

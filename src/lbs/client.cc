@@ -12,8 +12,6 @@ LbsClient::LbsClient(const LbsServer* server, ClientOptions options)
       options_(options),
       k_(std::min(options.k, server->options().max_k)),
       queries_counter_(obs::GetCounter(options.registry, "client.queries")),
-      memo_hits_counter_(
-          obs::GetCounter(options.registry, "client.memo_hits")),
       tracer_(options.tracer) {
   LBSAGG_CHECK_GE(options.k, 1);
 }
@@ -30,22 +28,8 @@ bool LbsClient::HasBudget(uint64_t upcoming) const {
   return queries_used() + upcoming <= options_.budget;
 }
 
-uint64_t LbsClient::MemoStateHash() const {
-  // Commutative combine (sum of per-key mixes) so the unordered_map's
-  // iteration order — which varies across processes — cannot change the
-  // hash. 0 iff the memo is empty.
-  uint64_t hash = 0;
-  LocKeyHash key_hash;
-  for (const auto& [key, hits] : memo_) {
-    hash += SplitMix64(static_cast<uint64_t>(key_hash(key)) ^
-                       (0x9e3779b97f4a7c15ull + hits.size()));
-  }
-  return hash;
-}
-
 void LbsClient::SetPassThroughFilter(TupleFilter filter) {
   filter_ = std::move(filter);
-  memo_.clear();
 }
 
 AttrValue LbsClient::Attribute(int id, int col) const {
@@ -91,65 +75,8 @@ std::vector<std::vector<ServerHit>> LbsClient::RawQueryBatch(
   return pages;
 }
 
-std::vector<std::vector<ServerHit>> LbsClient::MemoQueryBatch(
-    const std::vector<Vec2>& points) {
-  if (!options_.memoize_queries) return RawQueryBatch(points);
-  if (memo_grid_ == 0.0) memo_grid_ = LocKeyGrid(region());
-
-  // Resolve memo hits up front and deduplicate misses within the batch, so
-  // the accounting matches the sequential MemoQuery loop exactly.
-  std::vector<std::vector<ServerHit>> pages(points.size());
-  std::vector<Vec2> misses;
-  std::vector<LocKey> miss_keys;
-  std::unordered_map<LocKey, size_t, LocKeyHash> miss_index;
-  struct Pending {
-    size_t point_index;
-    size_t miss_index;
-  };
-  std::vector<Pending> pending;
-  for (size_t i = 0; i < points.size(); ++i) {
-    const LocKey key = MakeLocKey(points[i], memo_grid_);
-    if (auto it = memo_.find(key); it != memo_.end()) {
-      CountMemoHit();
-      pages[i] = it->second;
-      continue;
-    }
-    auto [slot, inserted] = miss_index.try_emplace(key, misses.size());
-    if (inserted) {
-      misses.push_back(points[i]);
-      miss_keys.push_back(key);
-    } else {
-      CountMemoHit();  // duplicate within the batch: the first fetch answers it
-    }
-    pending.push_back({i, slot->second});
-  }
-
-  const std::vector<std::vector<ServerHit>> fetched = RawQueryBatch(misses);
-  for (size_t m = 0; m < misses.size(); ++m) {
-    memo_[miss_keys[m]] = fetched[m];
-  }
-  for (const Pending& p : pending) pages[p.point_index] = fetched[p.miss_index];
-  return pages;
-}
-
-const std::vector<ServerHit>& LbsClient::MemoQuery(const Vec2& q) {
-  if (!options_.memoize_queries) {
-    memo_scratch_ = RawQuery(q);
-    return memo_scratch_;
-  }
-  if (memo_grid_ == 0.0) memo_grid_ = LocKeyGrid(region());
-  const LocKey key = MakeLocKey(q, memo_grid_);
-  auto [it, inserted] = memo_.try_emplace(key);
-  if (inserted) {
-    it->second = RawQuery(q);
-  } else {
-    CountMemoHit();
-  }
-  return it->second;
-}
-
 std::vector<LrClient::Item> LrClient::Query(const Vec2& q) {
-  const std::vector<ServerHit>& hits = MemoQuery(q);
+  const std::vector<ServerHit> hits = RawQuery(q);
   std::vector<Item> items;
   items.reserve(hits.size());
   for (const ServerHit& h : hits) {
@@ -161,7 +88,7 @@ std::vector<LrClient::Item> LrClient::Query(const Vec2& q) {
 
 std::vector<std::vector<LrClient::Item>> LrClient::QueryBatch(
     const std::vector<Vec2>& points) {
-  const std::vector<std::vector<ServerHit>> pages = MemoQueryBatch(points);
+  const std::vector<std::vector<ServerHit>> pages = RawQueryBatch(points);
   std::vector<std::vector<Item>> results(pages.size());
   for (size_t i = 0; i < pages.size(); ++i) {
     results[i].reserve(pages[i].size());
@@ -174,7 +101,7 @@ std::vector<std::vector<LrClient::Item>> LrClient::QueryBatch(
 }
 
 std::vector<int> LnrClient::Query(const Vec2& q) {
-  const std::vector<ServerHit>& hits = MemoQuery(q);
+  const std::vector<ServerHit> hits = RawQuery(q);
   std::vector<int> ids;
   ids.reserve(hits.size());
   for (const ServerHit& h : hits) ids.push_back(h.tuple_id);

@@ -7,7 +7,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "geometry/loc_key.h"
 #include "lbs/server.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
@@ -32,18 +31,9 @@ struct ClientOptions {
   // (runner.h documents the interaction with RunWithBudget).
   uint64_t budget = 0;
 
-  // Cross-round query memo: remember every (quantized location → answer)
-  // pair and answer repeats client-side at zero interface cost. The service
-  // is static, so a repeated query is pure waste — the refinement loops
-  // deduplicate within one cell computation already, but neighboring cells
-  // and Monte-Carlo rounds re-probe the same vertices. Off by default
-  // because two locations closer than ~1e-9 of the region scale share a
-  // memo slot, so counted-query traces differ from the memo-less run.
-  bool memoize_queries = false;
-
-  // Metric plane for the client.* counters (queries, memo_hits); null lands
-  // on the process-wide obs::MetricsRegistry::Default(). Determinism tests
-  // inject a fresh registry per run and compare snapshots.
+  // Metric plane for the client.queries counter; null lands on the
+  // process-wide obs::MetricsRegistry::Default(). Determinism tests inject a
+  // fresh registry per run and compare snapshots.
   obs::MetricsRegistry* registry = nullptr;
 
   // When set, every counted query emits a "client.query" span (nested
@@ -54,8 +44,7 @@ struct ClientOptions {
 
 // Atomically drained per-client accounting (see SnapshotAndResetStats).
 struct ClientStats {
-  uint64_t queries = 0;    // interface attempts charged (§2.1 cost)
-  uint64_t memo_hits = 0;  // queries answered client-side at zero cost
+  uint64_t queries = 0;  // interface attempts charged (§2.1 cost)
 };
 
 // Base of the restricted public interfaces. Owns query accounting — the
@@ -85,25 +74,20 @@ class LbsClient {
     return queries_used_.load(std::memory_order_relaxed);
   }
 
-  // Atomically drains the query and memo-hit counters (each via one
-  // exchange) and returns the drained values: every increment lands in
-  // exactly one accounting period even while a batch is in flight on an
-  // AsyncDispatcher — the snapshot-then-reset contract the racy
-  // field-by-field reset could not give (pinned under TSAN by obs_test.cc).
+  // Atomically drains the query counter (one exchange) and returns the
+  // drained value: every increment lands in exactly one accounting period
+  // even while a batch is in flight on an AsyncDispatcher (pinned under
+  // TSAN by obs_test.cc).
   ClientStats SnapshotAndResetStats() {
     ClientStats stats;
     stats.queries = queries_used_.exchange(0, std::memory_order_relaxed);
-    stats.memo_hits = memo_hits_.exchange(0, std::memory_order_relaxed);
     return stats;
   }
 
-  // Resets every per-run statistic — the query counter, the memo-hit
-  // counter, and the query log — so a reused client reports internally
-  // consistent numbers (memo_hits() can never exceed the queries the
-  // current accounting period has seen). The memo *contents* survive: the
-  // service is static, so cached answers stay valid across runs. The
-  // counter drain is atomic (SnapshotAndResetStats); clearing the query
-  // log still requires no batch in flight.
+  // Resets every per-run statistic — the query counter and the query log —
+  // so a reused client reports internally consistent numbers. The counter
+  // drain is atomic (SnapshotAndResetStats); clearing the query log still
+  // requires no batch in flight.
   void ResetQueryCount() {
     (void)SnapshotAndResetStats();
     query_log_.clear();
@@ -118,13 +102,6 @@ class LbsClient {
     queries_used_.store(queries, std::memory_order_relaxed);
   }
 
-  // Order-independent hash of the cross-round memo's key set (0 when the
-  // memo is off or empty). Checkpoints record it so recovery can detect the
-  // case it cannot replay: memo contents die with the process, and a resumed
-  // run whose memo state differs would answer repeat queries differently
-  // than the interrupted run — see DurableLog's resume gate.
-  uint64_t MemoStateHash() const;
-
   // True if `upcoming` more queries fit in the budget (always true when the
   // budget is unlimited).
   bool HasBudget(uint64_t upcoming = 1) const;
@@ -132,7 +109,6 @@ class LbsClient {
 
   // Appends a pass-through selection condition to every future query
   // (§5.1, e.g. NAME = 'Starbucks' on Google Places). Pass nullptr to clear.
-  // Invalidates the query memo: the same location now has a new answer.
   void SetPassThroughFilter(TupleFilter filter);
 
   // True when the service ranks by plain ascending distance, i.e. results
@@ -140,12 +116,6 @@ class LbsClient {
   // need and clients may skip their re-sort.
   bool distance_ranked() const {
     return server_->options().ranking == RankingMode::kDistance;
-  }
-
-  // Number of queries answered from the memo (always 0 unless
-  // ClientOptions::memoize_queries).
-  uint64_t memo_hits() const {
-    return memo_hits_.load(std::memory_order_relaxed);
   }
 
   // Attribute access for tuples the service returned: both LR and LNR
@@ -182,17 +152,6 @@ class LbsClient {
   std::vector<std::vector<ServerHit>> RawQueryBatch(
       const std::vector<Vec2>& points);
 
-  // Counted query behind the cross-round memo: a memo hit costs zero
-  // interface queries and leaves no query-log entry. Identical to RawQuery
-  // unless ClientOptions::memoize_queries.
-  const std::vector<ServerHit>& MemoQuery(const Vec2& q);
-
-  // Batch variant of MemoQuery: answers memoized points client-side,
-  // dispatches only the misses (deduplicated within the batch, like the
-  // sequential path would), and returns pages by value in point order.
-  std::vector<std::vector<ServerHit>> MemoQueryBatch(
-      const std::vector<Vec2>& points);
-
   const LbsServer* server_;
 
  private:
@@ -201,11 +160,6 @@ class LbsClient {
     queries_used_.fetch_add(attempts, std::memory_order_relaxed);
     queries_counter_.Add(attempts);
     if (log_queries_) query_log_.push_back(q);
-  }
-
-  void CountMemoHit() {
-    memo_hits_.fetch_add(1, std::memory_order_relaxed);
-    memo_hits_counter_.Add(1);
   }
 
   ClientOptions options_;
@@ -217,14 +171,7 @@ class LbsClient {
   bool log_queries_ = false;
   std::vector<Vec2> query_log_;
   obs::CounterRef queries_counter_;
-  obs::CounterRef memo_hits_counter_;
   obs::Tracer* tracer_ = nullptr;
-
-  // Cross-round memo (see ClientOptions::memoize_queries).
-  double memo_grid_ = 0.0;
-  std::atomic<uint64_t> memo_hits_{0};
-  std::unordered_map<LocKey, std::vector<ServerHit>, LocKeyHash> memo_;
-  std::vector<ServerHit> memo_scratch_;  // MemoQuery result when memo is off
 };
 
 // Location-Returned LBS interface (Google Maps): ranked ids + precise
@@ -245,9 +192,9 @@ class LrClient : public LbsClient {
   virtual std::vector<Item> Query(const Vec2& q);
 
   // Batch variant for *independent* probes (Monte-Carlo membership tests,
-  // ring scans): same pages, accounting, and memo behavior as calling
-  // Query() point by point, but pipelined through the client's
-  // BatchExecutor when one is attached.
+  // ring scans): same pages and accounting as calling Query() point by
+  // point, but pipelined through the client's BatchExecutor when one is
+  // attached.
   virtual std::vector<std::vector<Item>> QueryBatch(
       const std::vector<Vec2>& points);
 };

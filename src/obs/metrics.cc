@@ -186,6 +186,21 @@ std::string ShardMetricName(const std::string& prefix, int shard,
   return os.str();
 }
 
+MetricsSnapshot MetricsSnapshot::Under(const std::string& prefix) const {
+  MetricsSnapshot out;
+  const auto keep = [&prefix](const auto& from, auto* to) {
+    for (auto sample : from) {
+      if (!sample.name.starts_with(prefix)) continue;
+      sample.name.erase(0, prefix.size());
+      to->push_back(std::move(sample));
+    }
+  };
+  keep(counters, &out.counters);
+  keep(gauges, &out.gauges);
+  keep(histograms, &out.histograms);
+  return out;
+}
+
 Table MetricsSnapshot::ToTable() const {
   Table table({"metric", "value"});
   for (const CounterSample& c : counters) {

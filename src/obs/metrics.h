@@ -114,6 +114,10 @@ struct MetricsSnapshot {
   // Counters and gauges as a two-column table (histograms summarized).
   Table ToTable() const;
 
+  // The cells whose names start with `prefix`, renamed to the rest of the
+  // name: Under("transport.shard03.") is one sharded-wire lane.
+  MetricsSnapshot Under(const std::string& prefix) const;
+
   bool operator==(const MetricsSnapshot&) const = default;
 };
 

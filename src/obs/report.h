@@ -4,10 +4,10 @@
 // RunReport: one JSON/table artifact per run merging everything the layers
 // observed — estimator RunningStats (mean/CI), the metric plane's counters,
 // gauges and histograms (client queries, kd-tree visits, HT weight
-// histogram, ...), and raw JSON sections from subsystems with their own
-// serialization (TransportMetrics). Emitted by core/runner's
-// BuildRunReport, every bench/fig* target (LBSAGG_RUN_REPORT=path), and
-// examples/flaky_service --report. Validated against
+// histogram, transport attempts, ...), and raw JSON sections from subsystems
+// with their own serialization (the engine's diagnostics, the service's
+// scheduler view). Emitted by core/runner's BuildRunReport, every bench/fig*
+// target (LBSAGG_RUN_REPORT=path), and examples/flaky_service --report. Validated against
 // tools/report_schema.json by tools/validate_report.py.
 
 #include <map>
@@ -36,7 +36,8 @@ class RunReport {
   const MetricsSnapshot& snapshot() const { return snapshot_; }
 
   // Attaches a pre-serialized JSON value under sections.<name>; this is how
-  // TransportMetrics rides along without obs depending on transport.
+  // the engine and service diagnostics ride along without obs depending on
+  // them.
   void AddJsonSection(const std::string& name, const std::string& raw_json);
 
   std::string ToJson(int indent = 0) const;

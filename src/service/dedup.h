@@ -65,10 +65,9 @@ class QueryDedupRegistry {
   // Keys are the *exact* bit patterns of (x, y, k): only truly identical
   // interface queries share a page. No quantization — two nearby-but-
   // distinct probe points can have different kNN pages, and handing one the
-  // other's page would silently corrupt the borrowing session's estimate
-  // (the client memo quantizes because it re-asks for its *own* points; a
-  // cross-session cache never may). `registry` feeds the
-  // service.dedup.{hits,saved_queries} counters; null = Default().
+  // other's page would silently corrupt the borrowing session's estimate.
+  // `registry` feeds the service.dedup.{hits,saved_queries} counters;
+  // null = Default().
   explicit QueryDedupRegistry(obs::MetricsRegistry* registry = nullptr);
 
   DedupStats Stats() const;

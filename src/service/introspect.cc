@@ -93,15 +93,25 @@ obs::introspect::Statusz ServiceIntrospector::BuildStatusz() const {
   }
 
   if (options_.sharded != nullptr) {
+    // Cut from the registry the wire records into (usually this one): the
+    // client-facing transport.* cells, then one transport.shardNN.* set per
+    // lane.
+    const obs::MetricsSnapshot wire =
+        obs::Resolve(options_.sharded->options().registry).Snapshot();
+    obs::MetricsSnapshot aggregate = wire.Under("transport.");
+    const auto is_lane = [](const auto& sample) {
+      return sample.name.starts_with("shard");
+    };
+    std::erase_if(aggregate.counters, is_lane);
+    std::erase_if(aggregate.histograms, is_lane);
     std::ostringstream os;
     os << "{\"num_shards\":" << options_.sharded->num_shards()
        << ",\"virtual_now_ms\":"
        << FormatDouble(options_.sharded->VirtualNowMs())
-       << ",\"aggregate\":" << options_.sharded->Metrics().ToJson()
-       << ",\"lanes\":[";
+       << ",\"aggregate\":" << aggregate.ToJson() << ",\"lanes\":[";
     for (int shard = 0; shard < options_.sharded->num_shards(); ++shard) {
       if (shard > 0) os << ",";
-      os << options_.sharded->ShardMetrics(shard).ToJson();
+      os << wire.Under(obs::ShardMetricName("transport", shard, "")).ToJson();
     }
     os << "]}";
     status.AddJsonSection("shards", os.str());

@@ -6,8 +6,8 @@
 // wire's per-lane metrics, a time-series sampler, a flight recorder) into
 // the one-call introspection snapshot. The generic pieces live in
 // obs/introspect/ and know nothing about the service; this header is where
-// the layering inverts, exactly like TransportMetrics riding RunReport's
-// AddJsonSection.
+// the layering inverts, exactly like the engine's diagnostics riding
+// RunReport's AddJsonSection.
 //
 //   ServiceIntrospector intro({.service = &svc, .sharded = &wire,
 //                              .sampler = &sampler, .recorder = &recorder});

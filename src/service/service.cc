@@ -268,7 +268,6 @@ void EstimationService::Activate(Session* session) {
   ClientOptions copts;
   copts.k = session->spec.k;
   copts.budget = session->spec.budget;
-  copts.memoize_queries = session->spec.memoize_queries;
   copts.registry = options_.registry;
   copts.tracer = options_.tracer;
 

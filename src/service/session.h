@@ -92,11 +92,6 @@ struct SessionSpec {
   // outlive the session when set.
   const QuerySampler* sampler = nullptr;
 
-  // Per-session cross-round client memo (ClientOptions::memoize_queries).
-  // Off by default: memo hits change the counted-query trace, which breaks
-  // the runs-alone bit-identity contract the service tests pin.
-  bool memoize_queries = false;
-
   // Durable evidence log (engine/log/, DESIGN.md §4.14). When non-empty the
   // session's engine mirrors every committed round into a WAL under this
   // directory and writes round-aligned checkpoints, so a killed process can
@@ -111,7 +106,7 @@ struct SessionSpec {
   // those of an uninterrupted run. Logging continues into the same
   // directory. The spec must otherwise match the interrupted session's
   // (family, seed, k, aggregates, budget); mismatches and non-resumable
-  // runs (warm query memo) finish kRejected with the reason in `detail`.
+  // checkpoints finish kRejected with the reason in `detail`.
   // wal_dir may be left empty — resume_from names the directory.
   std::string resume_from;
 

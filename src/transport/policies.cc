@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "util/check.h"
 
@@ -88,6 +89,45 @@ double BackoffMs(const RetryOptions& options, uint64_t seed, uint64_t ticket,
   const double u = TicketUniform01(seed, ticket, attempt, kSaltJitter);
   const double factor = 1.0 + options.jitter * (2.0 * u - 1.0);
   return capped * factor;
+}
+
+TransportCells::TransportCells(obs::MetricsRegistry* registry, int shard,
+                               bool per_attempt) {
+  const auto name = [shard](const std::string& metric) {
+    return shard < 0 ? "transport." + metric
+                     : obs::ShardMetricName("transport", shard, metric);
+  };
+  std::vector<double> attempt_bounds;
+  for (int a = 1; a <= 16; ++a) attempt_bounds.push_back(a);
+  requests = obs::GetCounter(registry, name("requests"));
+  attempts = obs::GetCounter(registry, name("attempts"));
+  retries = obs::GetCounter(registry, name("retries"));
+  for (int i = 0; i < kNumTransportOutcomes; ++i) {
+    const auto outcome = static_cast<TransportOutcome>(i);
+    outcomes[i] = obs::GetCounter(
+        registry,
+        name(std::string("outcome.") + TransportOutcomeName(outcome)));
+  }
+  latency_ms = obs::GetHistogram(registry, name("latency_ms"),
+                                 obs::SmallCountBounds(1 << 16));
+  attempts_per_request = obs::GetHistogram(
+      registry, name("attempts_per_request"), std::move(attempt_bounds));
+  if (!per_attempt) return;
+  attempt_transient_errors =
+      obs::GetCounter(registry, name("attempt_transient_errors"));
+  attempt_timeouts = obs::GetCounter(registry, name("attempt_timeouts"));
+  throttle_wait_ms = obs::GetHistogram(registry, name("throttle_wait_ms"),
+                                       obs::SmallCountBounds(1 << 16));
+}
+
+void TransportCells::RecordRequest(TransportOutcome outcome, int num_attempts,
+                                   double latency) const {
+  requests.Add(1);
+  attempts.Add(static_cast<uint64_t>(num_attempts));
+  if (num_attempts > 1) retries.Add(static_cast<uint64_t>(num_attempts - 1));
+  outcomes[static_cast<int>(outcome)].Add(1);
+  latency_ms.Observe(latency);
+  attempts_per_request.Observe(num_attempts);
 }
 
 }  // namespace lbsagg

@@ -2,7 +2,8 @@
 #define LBSAGG_TRANSPORT_POLICIES_H_
 
 // Pluggable policies composed by SimulatedTransport: latency model,
-// token-bucket rate limiter, seeded fault injector, and retry policy.
+// token-bucket rate limiter, seeded fault injector, and retry policy — plus
+// the metric cells the pipeline records into.
 //
 // Determinism contract: every random draw is a *pure function* of
 // (seed, ticket, attempt, salt) — a hash, not a shared generator stream —
@@ -15,6 +16,7 @@
 #include <limits>
 
 #include "geometry/loc_key.h"  // SplitMix64
+#include "obs/obs.h"
 #include "transport/transport.h"
 
 namespace lbsagg {
@@ -150,6 +152,40 @@ inline bool Retryable(AttemptFault::Kind kind) {
 // 1-based `attempt`), with deterministic jitter.
 double BackoffMs(const RetryOptions& options, uint64_t seed, uint64_t ticket,
                  int attempt);
+
+// ---------------------------------------------------------------------------
+// Metric cells
+
+// The registry cells one policy pipeline records into (DESIGN.md §4.7),
+// resolved once at construction. `shard < 0` names the client-facing cells
+// (transport.requests, …); `shard >= 0` names one lane's
+// (transport.shardNN.requests, …). Transports record only inside their
+// mutex-serialized Prepare(), so a snapshot is a pure function of the seed
+// and the submission order, whatever the dispatcher's worker count.
+struct TransportCells {
+  // `per_attempt = false` leaves the attempt-level cells (fault counts,
+  // throttle wait) unresolved, so they record nothing: the sharded wire's
+  // client-facing total, whose lanes hold those facts.
+  TransportCells(obs::MetricsRegistry* registry, int shard, bool per_attempt);
+
+  // One finished logical query. Every attempt after the first is a retry.
+  void RecordRequest(TransportOutcome outcome, int num_attempts,
+                     double latency) const;
+
+  obs::CounterRef requests;  // logical queries
+  obs::CounterRef attempts;  // interface attempts (the §2.1 query cost)
+  obs::CounterRef retries;
+  obs::CounterRef outcomes[kNumTransportOutcomes];  // final, per query
+  obs::CounterRef attempt_transient_errors;
+  obs::CounterRef attempt_timeouts;
+  // End-to-end simulated latency per logical query, backoff and throttle
+  // included; power-of-two bounds from 1 ms to 2^16 ms.
+  obs::HistogramRef latency_ms;
+  obs::HistogramRef attempts_per_request;  // one bucket per count up to 16
+  // One observation per rate-limiter stall: count = throttle events,
+  // sum = total wait.
+  obs::HistogramRef throttle_wait_ms;
+};
 
 }  // namespace lbsagg
 

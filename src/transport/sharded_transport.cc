@@ -24,14 +24,9 @@ ShardedTransport::ShardedTransport(const ShardedLbsServer* server,
     : server_(server),
       options_(std::move(options)),
       latency_model_(options_.latency),
-      requests_counter_(
-          obs::GetCounter(options_.registry, "transport.sharded.requests")),
-      fanout_counter_(
-          obs::GetCounter(options_.registry, "transport.sharded.fanout")),
-      partial_failure_counter_(obs::GetCounter(
-          options_.registry, "transport.sharded.partial_failures")),
+      cells_(options_.registry, /*shard=*/-1, /*per_attempt=*/false),
       fulfills_counter_(
-          obs::GetCounter(options_.registry, "transport.sharded.fulfills")) {
+          obs::GetCounter(options_.registry, "transport.fulfills")) {
   LBSAGG_CHECK(server_ != nullptr);
   LBSAGG_CHECK_GE(options_.retry.max_attempts, 1);
   const int shards = server_->num_shards();
@@ -44,30 +39,25 @@ ShardedTransport::ShardedTransport(const ShardedLbsServer* server,
     const uint64_t lane_seed =
         SplitMix64(options_.seed ^
                    (0x9e3779b97f4a7c15ull * (static_cast<uint64_t>(s) + 1)));
-    lanes_.emplace_back(options_.rate_limit, faults, lane_seed);
-    lanes_.back().attempts_counter = obs::GetCounter(
-        options_.registry, obs::ShardMetricName("transport", s, "attempts"));
+    lanes_.emplace_back(options_.rate_limit, faults, lane_seed,
+                        options_.registry, s);
   }
 }
 
 double ShardedTransport::PrepareLane(Lane& lane, uint64_t ticket,
                                      double depart_ms, LanePlan* plan,
                                      int* attempts, double* dispatch_ms) {
-  ++lane.metrics.requests;
   *attempts = 0;
   *dispatch_ms = depart_ms;
   double t = depart_ms;
   for (int attempt = 1;; ++attempt) {
     const double service = lane.bucket.AcquireAt(t);
     if (service > t) {
-      ++lane.metrics.throttle_events;
-      lane.metrics.throttle_wait_ms += service - t;
+      lane.cells.throttle_wait_ms.Observe(service - t);
       t = service;
     }
     *dispatch_ms = t;
     ++*attempts;
-    ++lane.metrics.attempts;
-    lane.attempts_counter.Add(1);
 
     const AttemptFault fault = lane.faults.Draw(ticket, attempt);
     double attempt_ms = latency_model_.Sample(lane.seed, ticket, attempt);
@@ -91,9 +81,9 @@ double ShardedTransport::PrepareLane(Lane& lane, uint64_t ticket,
     }
 
     if (fault.kind == AttemptFault::Kind::kTimeout) {
-      ++lane.metrics.attempt_timeouts;
+      lane.cells.attempt_timeouts.Add(1);
     } else {
-      ++lane.metrics.attempt_transient_errors;
+      lane.cells.attempt_transient_errors.Add(1);
     }
     if (lane.retries_spent >= options_.retry.retry_budget) {
       plan->outcome = TransportOutcome::kFatal;
@@ -106,7 +96,6 @@ double ShardedTransport::PrepareLane(Lane& lane, uint64_t ticket,
       break;
     }
     ++lane.retries_spent;
-    ++lane.metrics.retries;
     t += BackoffMs(options_.retry, lane.seed, ticket, attempt);
   }
 
@@ -115,9 +104,7 @@ double ShardedTransport::PrepareLane(Lane& lane, uint64_t ticket,
                                  depart_ms * 1000.0,
                                  (t - depart_ms) * 1000.0);
   }
-  ++lane.metrics.outcomes[static_cast<int>(plan->outcome)];
-  lane.metrics.latency.Add(t - depart_ms);
-  lane.metrics.RecordAttemptsForRequest(*attempts);
+  lane.cells.RecordRequest(plan->outcome, *attempts, t - depart_ms);
   return t;
 }
 
@@ -127,9 +114,6 @@ TransportPlan ShardedTransport::Prepare(const Vec2& q, int) {
   std::lock_guard<std::mutex> lock(mu_);
   TransportPlan plan;
   plan.ticket = next_ticket_++;
-  ++metrics_.requests;
-  requests_counter_.Add(1);
-  fanout_counter_.Add(targets.size());
 
   const double depart = virtual_now_ms_;
   double done = depart;
@@ -171,17 +155,12 @@ TransportPlan ShardedTransport::Prepare(const Vec2& q, int) {
   // Pipelined client: it departs once the limiters grant this one's final
   // attempt — completion latency overlaps the next query's flight.
   virtual_now_ms_ = options_.pipelined_clock ? dispatch : done;
-  if (!Delivered(plan.outcome)) partial_failure_counter_.Add(1);
 
   if (options_.tracer != nullptr) {
     options_.tracer->AddComplete("transport.request", "transport",
                                  depart * 1000.0, plan.latency_ms * 1000.0);
   }
-  ++metrics_.outcomes[static_cast<int>(plan.outcome)];
-  metrics_.attempts += static_cast<uint64_t>(plan.attempts);
-  metrics_.retries += static_cast<uint64_t>(plan.attempts - 1);
-  metrics_.latency.Add(plan.latency_ms);
-  metrics_.RecordAttemptsForRequest(plan.attempts);
+  cells_.RecordRequest(plan.outcome, plan.attempts, plan.latency_ms);
 
   pending_.emplace(plan.ticket, std::move(fanout));
   return plan;
@@ -225,24 +204,6 @@ TransportReply ShardedTransport::Fulfill(const TransportPlan& plan,
   }
   reply.hits = server_->MergeShardPages(q, pages, k);
   return reply;
-}
-
-TransportMetrics ShardedTransport::Metrics() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return metrics_;
-}
-
-TransportMetrics ShardedTransport::ShardMetrics(int shard) const {
-  LBSAGG_CHECK_GE(shard, 0);
-  LBSAGG_CHECK_LT(static_cast<size_t>(shard), lanes_.size());
-  std::lock_guard<std::mutex> lock(mu_);
-  return lanes_[shard].metrics;
-}
-
-void ShardedTransport::ResetMetrics() {
-  std::lock_guard<std::mutex> lock(mu_);
-  metrics_ = TransportMetrics{};
-  for (Lane& lane : lanes_) lane.metrics = TransportMetrics{};
 }
 
 double ShardedTransport::VirtualNowMs() const {

@@ -9,7 +9,6 @@
 #include "lbs/sharded_server.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
-#include "transport/metrics.h"
 #include "transport/policies.h"
 #include "transport/transport.h"
 
@@ -44,9 +43,9 @@ struct ShardedTransportOptions {
 
   uint64_t seed = 0x5eed;
 
-  // Metric plane for the live counters: transport.sharded.* for the
-  // scatter layer plus per-lane transport.shardNN.attempts. Null lands on
-  // obs::MetricsRegistry::Default().
+  // Metric plane: the client-facing transport.* cells (the same names
+  // SimulatedTransport records) plus one transport.shardNN.* set per lane
+  // (TransportCells). Null lands on obs::MetricsRegistry::Default().
   obs::MetricsRegistry* registry = nullptr;
 
   // When set, each logical query emits one "transport.request" span
@@ -67,7 +66,8 @@ struct ShardedTransportOptions {
 // combined plan charges the *critical path*: attempts = max over lanes
 // (the §2.1 cost of one logical interface round, identical across shard
 // counts when no lane faults), latency = the slowest lane's completion.
-// Per-lane metrics keep the true per-lane accounting. Determinism is
+// The lane cells (transport.shardNN.*) keep the true per-lane accounting;
+// the fan-out of a query is the sum of their `requests`. Determinism is
 // inherited from the PR-3 contract: lanes are processed in ascending shard
 // order inside sequential Prepare() calls, and every draw is a pure
 // function of (lane seed, ticket, attempt).
@@ -102,13 +102,6 @@ class ShardedTransport final : public LbsTransport {
   const ShardedTransportOptions& options() const { return options_; }
   int num_shards() const { return server_->num_shards(); }
 
-  // Client-facing aggregate: one logical query = one request, critical-path
-  // attempts, slowest-lane latency.
-  TransportMetrics Metrics() const;
-  // True per-lane accounting for one shard (every sub-request and retry).
-  TransportMetrics ShardMetrics(int shard) const;
-  void ResetMetrics();
-
   // Current virtual time in ms (the slowest lane's frontier).
   double VirtualNowMs() const;
 
@@ -119,17 +112,18 @@ class ShardedTransport final : public LbsTransport {
     double truncate_u = 0.0;
   };
   struct Lane {
-    explicit Lane(const TokenBucketOptions& bucket_options,
-                  const FaultOptions& fault_options, uint64_t lane_seed)
+    Lane(const TokenBucketOptions& bucket_options,
+         const FaultOptions& fault_options, uint64_t lane_seed,
+         obs::MetricsRegistry* registry, int shard)
         : bucket(bucket_options),
           faults(fault_options, lane_seed),
-          seed(lane_seed) {}
+          seed(lane_seed),
+          cells(registry, shard, /*per_attempt=*/true) {}
     TokenBucket bucket;
     FaultInjector faults;
     uint64_t seed = 0;
     uint64_t retries_spent = 0;
-    TransportMetrics metrics;
-    obs::CounterRef attempts_counter;
+    TransportCells cells;  // true per-lane accounting
   };
 
   // Runs one lane's policy pipeline for `ticket`, departing at `depart_ms`.
@@ -147,11 +141,10 @@ class ShardedTransport final : public LbsTransport {
   std::vector<Lane> lanes_;
   uint64_t next_ticket_ = 0;
   double virtual_now_ms_ = 0.0;
-  TransportMetrics metrics_;  // client-facing aggregate
+  // Client-facing total: one logical query = one request, critical-path
+  // attempts, slowest-lane latency.
+  TransportCells cells_;
   mutable std::unordered_map<uint64_t, std::vector<LanePlan>> pending_;
-  obs::CounterRef requests_counter_;
-  obs::CounterRef fanout_counter_;
-  obs::CounterRef partial_failure_counter_;
   obs::CounterRef fulfills_counter_;
 };
 

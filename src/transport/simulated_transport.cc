@@ -14,6 +14,7 @@ SimulatedTransport::SimulatedTransport(const LbsServer* server,
       latency_model_(options.latency),
       fault_injector_(options.faults, options.seed),
       bucket_(options.rate_limit),
+      cells_(options.registry, /*shard=*/-1, /*per_attempt=*/true),
       fulfills_counter_(
           obs::GetCounter(options.registry, "transport.fulfills")) {
   LBSAGG_CHECK(server_ != nullptr);
@@ -25,19 +26,16 @@ TransportPlan SimulatedTransport::Prepare(const Vec2&, int) {
   TransportPlan plan;
   plan.ticket = next_ticket_++;
   plan.attempts = 0;
-  ++metrics_.requests;
 
   double t = virtual_now_ms_;
   for (int attempt = 1;; ++attempt) {
     // One rate-limit token per interface attempt.
     const double service = bucket_.AcquireAt(t);
     if (service > t) {
-      ++metrics_.throttle_events;
-      metrics_.throttle_wait_ms += service - t;
+      cells_.throttle_wait_ms.Observe(service - t);
       t = service;
     }
     ++plan.attempts;
-    ++metrics_.attempts;
 
     const AttemptFault fault = fault_injector_.Draw(plan.ticket, attempt);
     double attempt_ms = latency_model_.Sample(options_.seed, plan.ticket,
@@ -67,9 +65,9 @@ TransportPlan SimulatedTransport::Prepare(const Vec2&, int) {
 
     // Retryable failure.
     if (fault.kind == AttemptFault::Kind::kTimeout) {
-      ++metrics_.attempt_timeouts;
+      cells_.attempt_timeouts.Add(1);
     } else {
-      ++metrics_.attempt_transient_errors;
+      cells_.attempt_transient_errors.Add(1);
     }
     if (retries_spent_ >= options_.retry.retry_budget) {
       plan.outcome = TransportOutcome::kFatal;  // fail fast: budget spent
@@ -82,7 +80,6 @@ TransportPlan SimulatedTransport::Prepare(const Vec2&, int) {
       break;
     }
     ++retries_spent_;
-    ++metrics_.retries;
     t += BackoffMs(options_.retry, options_.seed, plan.ticket, attempt);
   }
 
@@ -94,9 +91,7 @@ TransportPlan SimulatedTransport::Prepare(const Vec2&, int) {
   plan.latency_ms = t - virtual_now_ms_;
   virtual_now_ms_ = t;  // sequential-client clock: next query departs now
 
-  ++metrics_.outcomes[static_cast<int>(plan.outcome)];
-  metrics_.latency.Add(plan.latency_ms);
-  metrics_.RecordAttemptsForRequest(plan.attempts);
+  cells_.RecordRequest(plan.outcome, plan.attempts, plan.latency_ms);
   return plan;
 }
 
@@ -120,16 +115,6 @@ TransportReply SimulatedTransport::Fulfill(const TransportPlan& plan,
     }
   }
   return reply;
-}
-
-TransportMetrics SimulatedTransport::Metrics() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return metrics_;
-}
-
-void SimulatedTransport::ResetMetrics() {
-  std::lock_guard<std::mutex> lock(mu_);
-  metrics_ = TransportMetrics{};
 }
 
 double SimulatedTransport::VirtualNowMs() const {

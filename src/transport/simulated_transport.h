@@ -6,7 +6,6 @@
 
 #include "obs/obs.h"
 #include "obs/trace.h"
-#include "transport/metrics.h"
 #include "transport/policies.h"
 #include "transport/transport.h"
 
@@ -19,10 +18,9 @@ struct SimulatedTransportOptions {
   RetryOptions retry;
   uint64_t seed = 0x5eed;
 
-  // Metric plane for the live transport.fulfills counter (incremented on the
-  // dispatcher's worker threads); null lands on
-  // obs::MetricsRegistry::Default(). The aggregate TransportMetrics snapshot
-  // is bridged separately via PublishTransportMetrics.
+  // Metric plane for the transport.* cells (TransportCells, recorded in
+  // Prepare(), plus transport.fulfills, incremented on the dispatcher's
+  // worker threads); null lands on obs::MetricsRegistry::Default().
   obs::MetricsRegistry* registry = nullptr;
 
   // When set, every logical query emits one "transport.request" span with
@@ -47,9 +45,9 @@ struct SimulatedTransportOptions {
 // whose next query departs when the previous one completes. Faults,
 // latencies, and jitter are pure functions of (seed, ticket, attempt), and
 // tickets are assigned in Prepare() submission order, so the full outcome
-// sequence and metrics are bit-identical for any dispatcher thread count
-// and across reruns with the same seed (the determinism contract pinned by
-// transport_determinism_test.cc).
+// sequence and the transport.* cells are bit-identical for any dispatcher
+// thread count and across reruns with the same seed (the determinism
+// contract pinned by transport_determinism_test.cc).
 //
 // Undelivered queries (kTransientError / kTimeout after the last attempt,
 // or kFatal when the retry budget is spent) surface as an *empty page* —
@@ -71,10 +69,6 @@ class SimulatedTransport final : public LbsTransport {
 
   const SimulatedTransportOptions& options() const { return options_; }
 
-  // Snapshot of the counters (copy, taken under the internal lock).
-  TransportMetrics Metrics() const;
-  void ResetMetrics();
-
   // Current virtual time in ms (throttle waits, latencies, backoffs).
   double VirtualNowMs() const;
 
@@ -89,7 +83,7 @@ class SimulatedTransport final : public LbsTransport {
   uint64_t next_ticket_ = 0;
   uint64_t retries_spent_ = 0;
   double virtual_now_ms_ = 0.0;
-  TransportMetrics metrics_;
+  TransportCells cells_;
   obs::CounterRef fulfills_counter_;
 };
 

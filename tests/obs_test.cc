@@ -19,7 +19,6 @@
 #include "obs/report.h"
 #include "obs/trace.h"
 #include "transport/async_dispatcher.h"
-#include "transport/metrics.h"
 #include "transport/simulated_transport.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -147,7 +146,8 @@ Dataset MakeDataset(int n, uint64_t seed) {
 TEST(ClientStats, SnapshotAndResetAtomicUnderDispatcher) {
   const Dataset dataset = MakeDataset(300, 1);
   const LbsServer server(&dataset, {.max_k = 5});
-  SimulatedTransport transport(&server, {.seed = 99});
+  MetricsRegistry registry;
+  SimulatedTransport transport(&server, {.seed = 99, .registry = &registry});
   AsyncDispatcher dispatcher(&transport, {.num_workers = 4});
   LrClient client(&server, {.k = 3}, &transport, &dispatcher);
 
@@ -159,7 +159,6 @@ TEST(ClientStats, SnapshotAndResetAtomicUnderDispatcher) {
     while (!done.load(std::memory_order_acquire)) {
       const ClientStats period = client.SnapshotAndResetStats();
       drained.queries += period.queries;
-      drained.memo_hits += period.memo_hits;
     }
   });
 
@@ -177,8 +176,9 @@ TEST(ClientStats, SnapshotAndResetAtomicUnderDispatcher) {
   const uint64_t total = drained.queries + rest.queries;
   // Every batch slot charges at least one attempt; retries may add more.
   EXPECT_GE(total, static_cast<uint64_t>(kBatches * kBatchSize));
-  EXPECT_EQ(total, transport.Metrics().attempts);
   EXPECT_EQ(client.queries_used(), 0u);
+  if (!obs::kObsEnabled) GTEST_SKIP() << "instrumentation compiled out";
+  EXPECT_EQ(total, registry.GetCounter("transport.attempts")->Value());
 }
 
 // ---------------------------------------------------------------------------
@@ -268,22 +268,6 @@ TEST(RunReport, EscapesMetaStringsAndKeys) {
   // The raw forms must not appear: embedded newlines or bare quotes would
   // break any consumer that actually parses the report.
   EXPECT_EQ(json.find("\"6k\"\n"), std::string::npos);
-}
-
-// PublishTransportMetrics bridges the transport's own struct onto the
-// metric plane: counts as counters, levels as gauges.
-TEST(RunReport, TransportMetricsBridgeOntoRegistry) {
-  if (!obs::kObsEnabled) GTEST_SKIP() << "instrumentation compiled out";
-  TransportMetrics metrics;
-  metrics.requests = 10;
-  metrics.attempts = 13;
-  metrics.retries = 3;
-
-  MetricsRegistry registry;
-  PublishTransportMetrics(metrics, &registry);
-  EXPECT_EQ(registry.GetCounter("transport.requests")->Value(), 10u);
-  EXPECT_EQ(registry.GetCounter("transport.attempts")->Value(), 13u);
-  EXPECT_EQ(registry.GetCounter("transport.retries")->Value(), 3u);
 }
 
 }  // namespace

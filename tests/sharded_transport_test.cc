@@ -3,8 +3,9 @@
 // every shard and worker count; (2) a hot shard whose retries succeed
 // still merges bit-identically (the retry path changes cost, never
 // content); (3) an exhausted lane budget surfaces as a *typed* error with
-// an empty page, never a silently truncated top-k; (4) per-lane metrics
-// and the obs counters account truthfully.
+// an empty page, never a silently truncated top-k; (4) the client-facing
+// transport.* cells and the per-lane transport.shardNN.* cells account
+// truthfully.
 
 #include <memory>
 #include <string>
@@ -20,6 +21,7 @@
 #include "lbs/server.h"
 #include "lbs/sharded_server.h"
 #include "obs/metrics.h"
+#include "obs/obs.h"
 #include "transport/async_dispatcher.h"
 #include "transport/sharded_transport.h"
 #include "util/rng.h"
@@ -52,6 +54,15 @@ std::vector<Vec2> MakeQueries(int n, uint64_t seed) {
   return queries;
 }
 
+uint64_t Count(obs::MetricsRegistry& registry, const std::string& name) {
+  return registry.GetCounter(name)->Value();
+}
+
+uint64_t LaneCount(obs::MetricsRegistry& registry, int shard,
+                   const std::string& metric) {
+  return Count(registry, obs::ShardMetricName("transport", shard, metric));
+}
+
 void ExpectHitsEqual(const std::vector<ServerHit>& a,
                      const std::vector<ServerHit>& b, const char* what) {
   ASSERT_EQ(a.size(), b.size()) << what;
@@ -67,8 +78,10 @@ TEST(ShardedTransport, CleanLanesBitIdenticalToMonolithEveryShardCount) {
   const std::vector<Vec2> queries = MakeQueries(100, 9);
   for (int shards : {1, 4, 16}) {
     const ShardedLbsServer server(&d, {.num_shards = shards});
+    obs::MetricsRegistry registry;
     ShardedTransportOptions topts;
     topts.rate_limit = {.capacity = 4.0, .refill_per_sec = 100.0};
+    topts.registry = &registry;
     ShardedTransport transport(&server, topts);
     for (const Vec2& q : queries) {
       const TransportReply reply = transport.Query(q, 5, nullptr);
@@ -76,9 +89,10 @@ TEST(ShardedTransport, CleanLanesBitIdenticalToMonolithEveryShardCount) {
       EXPECT_EQ(reply.attempts, 1);
       ExpectHitsEqual(reply.hits, mono.Query(q, 5), "clean lanes");
     }
-    const TransportMetrics m = transport.Metrics();
-    EXPECT_EQ(m.requests, queries.size());
-    EXPECT_EQ(m.attempts, queries.size());  // critical path: 1 per query
+    if (!obs::kObsEnabled) continue;
+    EXPECT_EQ(Count(registry, "transport.requests"), queries.size());
+    // Critical path: 1 attempt per query.
+    EXPECT_EQ(Count(registry, "transport.attempts"), queries.size());
   }
 }
 
@@ -88,17 +102,20 @@ TEST(ShardedTransport, DispatcherWorkerCountInvariant) {
   const std::vector<Vec2> queries = MakeQueries(200, 11);
 
   auto run = [&](unsigned workers) {
+    obs::MetricsRegistry registry;
     ShardedTransportOptions topts;
     topts.faults.transient_error_rate = 0.1;
     topts.faults.truncate_rate = 0.05;
     topts.retry.max_attempts = 4;
+    topts.registry = &registry;
     ShardedTransport transport(&server, topts);
     AsyncDispatcher dispatcher(&transport, {workers, 64});
     const std::vector<TransportReply> replies =
         dispatcher.QueryBatch(queries, 5, nullptr);
-    return std::make_pair(replies, transport.Metrics());
+    return std::make_pair(replies, registry.Snapshot());
   };
   const auto [replies1, metrics1] = run(1);
+  const auto [replies4, metrics4] = run(4);
   const auto [replies8, metrics8] = run(8);
   ASSERT_EQ(replies1.size(), replies8.size());
   for (size_t i = 0; i < replies1.size(); ++i) {
@@ -106,8 +123,11 @@ TEST(ShardedTransport, DispatcherWorkerCountInvariant) {
     EXPECT_EQ(replies1[i].attempts, replies8[i].attempts);
     EXPECT_EQ(replies1[i].latency_ms, replies8[i].latency_ms);
     ExpectHitsEqual(replies1[i].hits, replies8[i].hits, "workers");
+    EXPECT_EQ(replies1[i].attempts, replies4[i].attempts);
   }
-  EXPECT_EQ(metrics1, metrics8);
+  // Client-facing and per-lane cells alike.
+  EXPECT_EQ(metrics1, metrics4);
+  EXPECT_EQ(metrics4, metrics8);
 }
 
 TEST(ShardedTransport, HotShardRetriesKeepMergedResultBitIdentical) {
@@ -122,6 +142,8 @@ TEST(ShardedTransport, HotShardRetriesKeepMergedResultBitIdentical) {
   topts.shard_faults.resize(4);
   topts.shard_faults[2].transient_error_rate = 0.5;
   topts.retry.max_attempts = 12;
+  obs::MetricsRegistry registry;
+  topts.registry = &registry;
   ShardedTransport transport(&server, topts);
 
   int delivered = 0;
@@ -139,11 +161,14 @@ TEST(ShardedTransport, HotShardRetriesKeepMergedResultBitIdentical) {
   // The cost of the hot shard is visible exactly where it should be: lane 2
   // spent retries, the clean lanes spent none, and the client-facing
   // aggregate charged the critical path (max attempts over lanes).
-  EXPECT_GT(transport.ShardMetrics(2).retries, 0u);
-  EXPECT_EQ(transport.ShardMetrics(0).retries, 0u);
-  EXPECT_EQ(transport.ShardMetrics(1).retries, 0u);
-  EXPECT_EQ(transport.ShardMetrics(3).retries, 0u);
-  EXPECT_GT(transport.Metrics().attempts, transport.Metrics().requests);
+  if (!obs::kObsEnabled) GTEST_SKIP() << "instrumentation compiled out";
+  EXPECT_GT(LaneCount(registry, 2, "retries"), 0u);
+  EXPECT_EQ(LaneCount(registry, 0, "retries"), 0u);
+  EXPECT_EQ(LaneCount(registry, 1, "retries"), 0u);
+  EXPECT_EQ(LaneCount(registry, 3, "retries"), 0u);
+  EXPECT_GT(LaneCount(registry, 2, "attempt_transient_errors"), 0u);
+  EXPECT_GT(Count(registry, "transport.attempts"),
+            Count(registry, "transport.requests"));
 }
 
 TEST(ShardedTransport, ExhaustedLaneBudgetSurfacesTypedErrorNotTruncation) {
@@ -158,6 +183,8 @@ TEST(ShardedTransport, ExhaustedLaneBudgetSurfacesTypedErrorNotTruncation) {
   topts.shard_faults[1].transient_error_rate = 1.0;
   topts.retry.max_attempts = 3;
   topts.retry.retry_budget = 4;
+  obs::MetricsRegistry registry;
+  topts.registry = &registry;
   ShardedTransport transport(&server, topts);
 
   int fatal = 0;
@@ -177,9 +204,10 @@ TEST(ShardedTransport, ExhaustedLaneBudgetSurfacesTypedErrorNotTruncation) {
     }
   }
   EXPECT_GT(fatal, 0) << "retry budget exhaustion never surfaced";
-  EXPECT_GT(transport.Metrics().outcomes[static_cast<int>(
-                TransportOutcome::kFatal)],
-            0u);
+  if (!obs::kObsEnabled) GTEST_SKIP() << "instrumentation compiled out";
+  EXPECT_EQ(Count(registry, "transport.outcome.fatal"),
+            static_cast<uint64_t>(fatal));
+  EXPECT_GT(LaneCount(registry, 1, "outcome.fatal"), 0u);
 }
 
 TEST(ShardedTransport, EstimatorOverHotShardMatchesCleanEstimate) {
@@ -215,6 +243,7 @@ TEST(ShardedTransport, EstimatorOverHotShardMatchesCleanEstimate) {
 }
 
 TEST(ShardedTransport, PerShardCountersLandOnTheMetricPlane) {
+  if (!obs::kObsEnabled) GTEST_SKIP() << "instrumentation compiled out";
   const Dataset d = MakeDataset(600, 31);
   const ShardedLbsServer server(&d, {.num_shards = 3});
   obs::MetricsRegistry registry;
@@ -225,22 +254,22 @@ TEST(ShardedTransport, PerShardCountersLandOnTheMetricPlane) {
     (void)transport.Query(q, 5, nullptr);
   }
   const obs::MetricsSnapshot snap = registry.Snapshot();
-  uint64_t sharded_requests = 0;
-  uint64_t lane_attempts = 0;
   int lane_counters = 0;
   for (const auto& c : snap.counters) {
-    if (c.name == "transport.sharded.requests") sharded_requests = c.value;
     if (c.name == obs::ShardMetricName("transport", 0, "attempts") ||
         c.name == obs::ShardMetricName("transport", 1, "attempts") ||
         c.name == obs::ShardMetricName("transport", 2, "attempts")) {
       ++lane_counters;
-      lane_attempts += c.value;
     }
   }
-  EXPECT_EQ(sharded_requests, 20u);
   EXPECT_EQ(lane_counters, 3);
+  EXPECT_EQ(Count(registry, "transport.requests"), 20u);
+  EXPECT_EQ(Count(registry, "transport.fulfills"), 20u);
   // Clean lanes, infinite radius: every query fans out to all 3 shards.
-  EXPECT_EQ(lane_attempts, 60u);
+  for (int shard = 0; shard < 3; ++shard) {
+    EXPECT_EQ(LaneCount(registry, shard, "requests"), 20u);
+    EXPECT_EQ(LaneCount(registry, shard, "attempts"), 20u);
+  }
 }
 
 TEST(ShardedTransport, CoverageRadiusPrunesFanOut) {
@@ -256,20 +285,23 @@ TEST(ShardedTransport, CoverageRadiusPrunesFanOut) {
   ShardedTransport transport(&server, topts);
   const std::vector<Vec2> queries = MakeQueries(50, 43);
   for (const Vec2& q : queries) (void)transport.Query(q, 5, nullptr);
+  // The fan-out is the lanes' sub-requests.
   uint64_t fanout = 0;
-  for (const auto& c : registry.Snapshot().counters) {
-    if (c.name == "transport.sharded.fanout") fanout = c.value;
+  for (int shard = 0; shard < 16; ++shard) {
+    fanout += LaneCount(registry, shard, "requests");
   }
-  // Spatial shards + small d_max: the scatter targets a handful of shards,
-  // not all 16 — this is what lets per-lane quota scale with the fleet.
-  EXPECT_GT(fanout, 0u);
-  EXPECT_LT(fanout, queries.size() * 8);
   // Pruned scatter still answers exactly like the monolith.
   const LbsServer mono(&d, sopts);
   for (const Vec2& q : queries) {
     ExpectHitsEqual(transport.Query(q, 5, nullptr).hits, mono.Query(q, 5),
                     "pruned scatter");
   }
+
+  if (!obs::kObsEnabled) GTEST_SKIP() << "instrumentation compiled out";
+  // Spatial shards + small d_max: the scatter targets a handful of shards,
+  // not all 16 — this is what lets per-lane quota scale with the fleet.
+  EXPECT_GT(fanout, 0u);
+  EXPECT_LT(fanout, queries.size() * 8);
 }
 
 }  // namespace

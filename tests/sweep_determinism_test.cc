@@ -21,7 +21,9 @@
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "service/service.h"
+#include "transport/async_dispatcher.h"
 #include "transport/sharded_transport.h"
+#include "transport/simulated_transport.h"
 
 namespace lbsagg {
 namespace bench {
@@ -101,7 +103,6 @@ obs::MetricsSnapshot RunFlakyWithRegistry(unsigned dispatcher_workers,
   NnoEstimator est(&client, AggregateSpec::Count(),
                    {.seed = seed, .registry = &registry});
   (void)RunWithBudget(MakeHandle(&est), /*budget=*/300);
-  PublishTransportMetrics(transport.Metrics(), &registry);
   return registry.Snapshot();
 }
 
@@ -194,7 +195,6 @@ EngineRun RunEngineFlaky(unsigned dispatcher_workers, uint64_t seed) {
   auto* count = eng.AddAggregate(AggregateSpec::Count());
   auto* sum = eng.AddAggregate(AggregateSpec::Sum(rating, "SUM(rating)"));
   (void)RunEngineWithBudget(&eng, /*budget=*/300);
-  PublishTransportMetrics(transport.Metrics(), &registry);
 
   EngineRun run;
   run.evidence_hash = HashEvidence(eng.evidence());
@@ -239,8 +239,8 @@ TEST(SweepDeterminism, EngineEvidenceIdenticalAcrossRepeatedSeeds) {
 // function of the seed — invariant to the shard count (1/4/16), to the
 // dispatcher worker count (1/8), and identical to the monolithic server
 // behind a clean SimulatedTransport. The full metric snapshot is compared
-// only across worker counts: per-lane counters (transport.shardNN.*,
-// transport.sharded.fanout) legitimately depend on the shard count — that
+// only across worker counts: per-lane cells (transport.shardNN.*)
+// legitimately depend on the shard count — that
 // per-lane accounting existing is the point, it just must never leak into
 // what the estimator sees.
 
@@ -282,7 +282,6 @@ EngineRun RunEngineSharded(int num_shards, unsigned dispatcher_workers,
   auto* count = eng.AddAggregate(AggregateSpec::Count());
   auto* sum = eng.AddAggregate(AggregateSpec::Sum(rating, "SUM(rating)"));
   (void)RunEngineWithBudget(&eng, /*budget=*/300);
-  PublishTransportMetrics(transport.Metrics(), &registry);
 
   EngineRun run;
   run.evidence_hash = HashEvidence(eng.evidence());

@@ -1,7 +1,8 @@
 // The transport determinism contract: same seed + same policy config ⇒
-// bit-identical outcome sequence, result pages, and metrics — whether the
-// queries run synchronously, through an inline dispatcher, or across 1..8
-// dispatcher worker threads, and across independent reruns.
+// bit-identical outcome sequence, result pages, and metric snapshots (a
+// fresh registry per transport) — whether the queries run synchronously,
+// through an inline dispatcher, or across 1..8 dispatcher worker threads,
+// and across independent reruns.
 
 #include <memory>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "lbs/client.h"
 #include "lbs/dataset.h"
 #include "lbs/server.h"
+#include "obs/metrics.h"
 #include "transport/async_dispatcher.h"
 #include "transport/simulated_transport.h"
 #include "util/rng.h"
@@ -42,7 +44,7 @@ std::vector<Vec2> RandomPoints(int n, uint64_t seed) {
   return pts;
 }
 
-SimulatedTransportOptions FlakyOptions() {
+SimulatedTransportOptions FlakyOptions(obs::MetricsRegistry* registry) {
   SimulatedTransportOptions topts;
   topts.latency.kind = LatencyOptions::Kind::kLognormal;
   topts.rate_limit = {.capacity = 50.0, .refill_per_sec = 200.0};
@@ -51,6 +53,7 @@ SimulatedTransportOptions FlakyOptions() {
   topts.faults.truncate_rate = 0.10;
   topts.retry.max_attempts = 3;
   topts.seed = 1234;
+  topts.registry = registry;
   return topts;
 }
 
@@ -75,20 +78,22 @@ TEST(TransportDeterminism, SameSeedSameSequenceAcrossWorkerCounts) {
   const std::vector<Vec2> points = RandomPoints(200, 2);
 
   // Reference: synchronous, no dispatcher at all.
-  SimulatedTransport reference(&server, FlakyOptions());
+  obs::MetricsRegistry reference_registry;
+  SimulatedTransport reference(&server, FlakyOptions(&reference_registry));
   std::vector<TransportReply> expected;
   expected.reserve(points.size());
   for (const Vec2& q : points) expected.push_back(reference.Query(q, 5, {}));
-  const TransportMetrics expected_metrics = reference.Metrics();
+  const obs::MetricsSnapshot expected_metrics = reference_registry.Snapshot();
 
   for (unsigned workers : {0u, 1u, 2u, 4u, 8u}) {
-    SimulatedTransport transport(&server, FlakyOptions());
+    obs::MetricsRegistry registry;
+    SimulatedTransport transport(&server, FlakyOptions(&registry));
     AsyncDispatcher dispatcher(
         &transport, {.num_workers = workers, .queue_capacity = 16});
     const std::vector<TransportReply> replies =
         dispatcher.QueryBatch(points, 5);
     ExpectRepliesEqual(expected, replies);
-    EXPECT_EQ(transport.Metrics(), expected_metrics)
+    EXPECT_EQ(registry.Snapshot(), expected_metrics)
         << "metrics diverged at " << workers << " workers";
   }
 }
@@ -99,14 +104,15 @@ TEST(TransportDeterminism, MetricsIdenticalAcrossReruns) {
   const std::vector<Vec2> points = RandomPoints(500, 4);
 
   auto run = [&] {
-    SimulatedTransport transport(&server, FlakyOptions());
+    obs::MetricsRegistry registry;
+    SimulatedTransport transport(&server, FlakyOptions(&registry));
     AsyncDispatcher dispatcher(&transport,
                                {.num_workers = 4, .queue_capacity = 32});
     dispatcher.QueryBatch(points, 5);
-    return transport.Metrics();
+    return registry.Snapshot();
   };
-  const TransportMetrics first = run();
-  const TransportMetrics second = run();
+  const obs::MetricsSnapshot first = run();
+  const obs::MetricsSnapshot second = run();
   EXPECT_EQ(first, second);
   EXPECT_EQ(first.ToJson(), second.ToJson());
 }
@@ -119,7 +125,8 @@ TEST(TransportDeterminism, EstimatorTraceIdenticalAcrossWorkerCounts) {
   const LbsServer server(&dataset, {.max_k = 10});
 
   auto run = [&](unsigned workers) {
-    SimulatedTransport transport(&server, FlakyOptions());
+    obs::MetricsRegistry registry;
+    SimulatedTransport transport(&server, FlakyOptions(&registry));
     std::unique_ptr<AsyncDispatcher> dispatcher;
     if (workers > 0) {
       dispatcher = std::make_unique<AsyncDispatcher>(
@@ -129,7 +136,7 @@ TEST(TransportDeterminism, EstimatorTraceIdenticalAcrossWorkerCounts) {
                     dispatcher.get());
     NnoEstimator estimator(&client, AggregateSpec::Count(), {.seed = 42});
     const RunResult result = RunWithBudget(MakeHandle(&estimator), 1500);
-    return std::make_pair(result, transport.Metrics());
+    return std::make_pair(result, registry.Snapshot());
   };
 
   const auto [reference, reference_metrics] = run(0);
@@ -155,13 +162,15 @@ TEST(TransportDeterminism, BatchMatchesSequentialQueries) {
   const LbsServer server(&dataset, {.max_k = 10});
   const std::vector<Vec2> points = RandomPoints(100, 7);
 
-  SimulatedTransport seq_transport(&server, FlakyOptions());
+  obs::MetricsRegistry seq_registry;
+  SimulatedTransport seq_transport(&server, FlakyOptions(&seq_registry));
   LrClient seq_client(&server, {.k = 5}, &seq_transport);
   std::vector<std::vector<LrClient::Item>> sequential;
   sequential.reserve(points.size());
   for (const Vec2& q : points) sequential.push_back(seq_client.Query(q));
 
-  SimulatedTransport batch_transport(&server, FlakyOptions());
+  obs::MetricsRegistry batch_registry;
+  SimulatedTransport batch_transport(&server, FlakyOptions(&batch_registry));
   AsyncDispatcher dispatcher(&batch_transport,
                              {.num_workers = 4, .queue_capacity = 16});
   LrClient batch_client(&server, {.k = 5}, &batch_transport, &dispatcher);
@@ -177,7 +186,7 @@ TEST(TransportDeterminism, BatchMatchesSequentialQueries) {
     }
   }
   EXPECT_EQ(seq_client.queries_used(), batch_client.queries_used());
-  EXPECT_EQ(seq_transport.Metrics(), batch_transport.Metrics());
+  EXPECT_EQ(seq_registry.Snapshot(), batch_registry.Snapshot());
 }
 
 }  // namespace

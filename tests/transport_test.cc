@@ -1,6 +1,7 @@
 // Behavior of the transport layer: the zero-overhead direct wire, the
 // simulated policy pipeline (latency, token bucket, fault injection,
-// retries), per-attempt budget accounting (§2.1), and metrics.
+// retries), per-attempt budget accounting (§2.1), and the transport.* cells
+// it records into the metric plane.
 
 #include <cmath>
 #include <string>
@@ -12,7 +13,7 @@
 #include "lbs/client.h"
 #include "lbs/dataset.h"
 #include "lbs/server.h"
-#include "transport/metrics.h"
+#include "obs/obs.h"
 #include "transport/policies.h"
 #include "transport/simulated_transport.h"
 #include "util/rng.h"
@@ -39,6 +40,23 @@ std::vector<Vec2> RandomPoints(int n, uint64_t seed) {
   pts.reserve(n);
   for (int i = 0; i < n; ++i) pts.push_back(kBox.SamplePoint(rng));
   return pts;
+}
+
+uint64_t Count(obs::MetricsRegistry& registry, const std::string& name) {
+  return registry.GetCounter(name)->Value();
+}
+
+uint64_t Outcomes(obs::MetricsRegistry& registry, TransportOutcome outcome) {
+  return Count(registry,
+               std::string("transport.outcome.") + TransportOutcomeName(outcome));
+}
+
+const obs::HistogramSample* FindHistogram(const obs::MetricsSnapshot& snap,
+                                          const std::string& name) {
+  for (const obs::HistogramSample& h : snap.histograms) {
+    if (h.name == name) return &h;
+  }
+  return nullptr;
 }
 
 // ---------------------------------------------------------------------------
@@ -147,7 +165,10 @@ TEST(LatencyModel, LognormalIsDeterministicAndClamped) {
 TEST(SimulatedTransport, CleanNetworkBehavesLikeDirect) {
   const Dataset dataset = MakeDataset(200, 5);
   const LbsServer server(&dataset, {.max_k = 10});
-  SimulatedTransport transport(&server, {});  // no faults, no rate limit
+  obs::MetricsRegistry registry;
+  SimulatedTransportOptions topts;  // no faults, no rate limit
+  topts.registry = &registry;
+  SimulatedTransport transport(&server, topts);
   for (const Vec2& q : RandomPoints(30, 6)) {
     const TransportReply reply = transport.Query(q, 5, nullptr);
     EXPECT_EQ(reply.outcome, TransportOutcome::kOk);
@@ -159,11 +180,11 @@ TEST(SimulatedTransport, CleanNetworkBehavesLikeDirect) {
       EXPECT_EQ(reply.hits[i].tuple_id, direct[i].tuple_id);
     }
   }
-  const TransportMetrics m = transport.Metrics();
-  EXPECT_EQ(m.requests, 30u);
-  EXPECT_EQ(m.attempts, 30u);
-  EXPECT_EQ(m.retries, 0u);
-  EXPECT_EQ(m.outcomes[static_cast<int>(TransportOutcome::kOk)], 30u);
+  if (!obs::kObsEnabled) GTEST_SKIP() << "instrumentation compiled out";
+  EXPECT_EQ(Count(registry, "transport.requests"), 30u);
+  EXPECT_EQ(Count(registry, "transport.attempts"), 30u);
+  EXPECT_EQ(Count(registry, "transport.retries"), 0u);
+  EXPECT_EQ(Outcomes(registry, TransportOutcome::kOk), 30u);
 }
 
 TEST(SimulatedTransport, AlwaysFailingGivesUpAfterMaxAttempts) {
@@ -172,6 +193,8 @@ TEST(SimulatedTransport, AlwaysFailingGivesUpAfterMaxAttempts) {
   SimulatedTransportOptions topts;
   topts.faults.transient_error_rate = 1.0;
   topts.retry.max_attempts = 3;
+  obs::MetricsRegistry registry;
+  topts.registry = &registry;
   SimulatedTransport transport(&server, topts);
 
   const TransportReply reply = transport.Query(kBox.Center(), 5, nullptr);
@@ -180,11 +203,12 @@ TEST(SimulatedTransport, AlwaysFailingGivesUpAfterMaxAttempts) {
   EXPECT_TRUE(reply.hits.empty());  // undelivered → empty page
   EXPECT_FALSE(Delivered(reply.outcome));
 
-  const TransportMetrics m = transport.Metrics();
-  EXPECT_EQ(m.requests, 1u);
-  EXPECT_EQ(m.attempts, 3u);
-  EXPECT_EQ(m.retries, 2u);
-  EXPECT_EQ(m.attempt_transient_errors, 3u);
+  if (!obs::kObsEnabled) GTEST_SKIP() << "instrumentation compiled out";
+  EXPECT_EQ(Count(registry, "transport.requests"), 1u);
+  EXPECT_EQ(Count(registry, "transport.attempts"), 3u);
+  EXPECT_EQ(Count(registry, "transport.retries"), 2u);
+  EXPECT_EQ(Count(registry, "transport.attempt_transient_errors"), 3u);
+  EXPECT_EQ(Count(registry, "transport.attempt_timeouts"), 0u);
 }
 
 TEST(SimulatedTransport, RetryBudgetFailsFastOnceSpent) {
@@ -235,14 +259,21 @@ TEST(SimulatedTransport, TokenBucketThrottlesAndAdvancesVirtualClock) {
   topts.rate_limit = {.capacity = 2.0, .refill_per_sec = 10.0};
   topts.latency.fixed_ms = 1.0;
   topts.latency.min_ms = 1.0;
+  obs::MetricsRegistry registry;
+  topts.registry = &registry;
   SimulatedTransport transport(&server, topts);
 
   for (int i = 0; i < 20; ++i) transport.Query(kBox.Center(), 5, nullptr);
-  const TransportMetrics m = transport.Metrics();
-  EXPECT_GT(m.throttle_events, 0u);
-  EXPECT_GT(m.throttle_wait_ms, 0.0);
   // 20 attempts through a 10/s bucket with burst 2: >= ~1.5 s of quota time.
   EXPECT_GT(transport.VirtualNowMs(), 1500.0);
+
+  if (!obs::kObsEnabled) GTEST_SKIP() << "instrumentation compiled out";
+  const obs::MetricsSnapshot snap = registry.Snapshot();
+  const obs::HistogramSample* wait =
+      FindHistogram(snap, "transport.throttle_wait_ms");
+  ASSERT_NE(wait, nullptr);
+  EXPECT_GT(wait->count, 0u);  // throttle events
+  EXPECT_GT(wait->sum, 0.0);   // total wait
 }
 
 // ---------------------------------------------------------------------------
@@ -254,15 +285,18 @@ TEST(TransportAccounting, ClientChargesOncePerAttempt) {
   SimulatedTransportOptions topts;
   topts.faults.transient_error_rate = 0.4;
   topts.retry.max_attempts = 4;
+  obs::MetricsRegistry registry;
+  topts.registry = &registry;
   SimulatedTransport transport(&server, topts);
 
   LrClient client(&server, {.k = 5}, &transport);
   for (const Vec2& q : RandomPoints(100, 13)) client.Query(q);
+  // Faults at 40% must retry sometimes.
+  EXPECT_GT(client.queries_used(), 100u);
 
-  const TransportMetrics m = transport.Metrics();
-  EXPECT_EQ(m.requests, 100u);
-  EXPECT_GT(m.attempts, m.requests);  // faults at 40% must retry sometimes
-  EXPECT_EQ(client.queries_used(), m.attempts);
+  if (!obs::kObsEnabled) GTEST_SKIP() << "instrumentation compiled out";
+  EXPECT_EQ(Count(registry, "transport.requests"), 100u);
+  EXPECT_EQ(client.queries_used(), Count(registry, "transport.attempts"));
 }
 
 TEST(TransportAccounting, RunWithBudgetMetersAttempts) {
@@ -271,6 +305,8 @@ TEST(TransportAccounting, RunWithBudgetMetersAttempts) {
   SimulatedTransportOptions topts;
   topts.faults.transient_error_rate = 0.5;
   topts.retry.max_attempts = 4;
+  obs::MetricsRegistry registry;
+  topts.registry = &registry;
   SimulatedTransport transport(&server, topts);
 
   constexpr uint64_t kBudget = 60;
@@ -287,9 +323,6 @@ TEST(TransportAccounting, RunWithBudgetMetersAttempts) {
   };
   const RunResult result = RunWithBudget(handle, kBudget);
 
-  const TransportMetrics m = transport.Metrics();
-  EXPECT_EQ(result.queries, m.attempts);
-  EXPECT_LT(m.requests, m.attempts);
   // Soft budget: the final round may overshoot by at most one query's
   // attempts; earlier rounds stay under.
   EXPECT_GE(result.queries, kBudget);
@@ -297,61 +330,53 @@ TEST(TransportAccounting, RunWithBudgetMetersAttempts) {
             kBudget + static_cast<uint64_t>(topts.retry.max_attempts));
   // Fewer logical rounds than the budget: retries ate part of it.
   EXPECT_LT(result.trace.size(), static_cast<size_t>(kBudget));
+
+  if (!obs::kObsEnabled) GTEST_SKIP() << "instrumentation compiled out";
+  EXPECT_EQ(result.queries, Count(registry, "transport.attempts"));
+  EXPECT_LT(Count(registry, "transport.requests"),
+            Count(registry, "transport.attempts"));
 }
 
 // ---------------------------------------------------------------------------
-// Metrics
+// Metric cells
 
-TEST(TransportMetrics, JsonAndTableRender) {
+// Every logical query lands in exactly one outcome cell and one bucket of
+// each per-request histogram.
+TEST(SimulatedTransport, CellsAccountEveryRequest) {
+  if (!obs::kObsEnabled) GTEST_SKIP() << "instrumentation compiled out";
   const Dataset dataset = MakeDataset(100, 16);
   const LbsServer server(&dataset, {.max_k = 10});
   SimulatedTransportOptions topts;
   topts.faults.transient_error_rate = 0.2;
   topts.faults.truncate_rate = 0.1;
+  obs::MetricsRegistry registry;
+  topts.registry = &registry;
   SimulatedTransport transport(&server, topts);
   for (const Vec2& q : RandomPoints(50, 17)) transport.Query(q, 5, nullptr);
 
-  const TransportMetrics m = transport.Metrics();
-  const std::string json = m.ToJson();
-  EXPECT_NE(json.find("\"requests\": 50"), std::string::npos);
-  EXPECT_NE(json.find("\"transient_error\""), std::string::npos);
-  EXPECT_NE(json.find("\"latency_ms\""), std::string::npos);
-
-  uint64_t histogram_total = 0;
-  for (uint64_t c : m.attempts_histogram) histogram_total += c;
-  EXPECT_EQ(histogram_total, m.requests);
-  EXPECT_EQ(m.latency.count(), m.requests);
-
+  EXPECT_EQ(Count(registry, "transport.requests"), 50u);
+  EXPECT_EQ(Count(registry, "transport.fulfills"), 50u);
   uint64_t outcome_total = 0;
   for (int i = 0; i < kNumTransportOutcomes; ++i) {
-    outcome_total += m.outcomes[i];
+    outcome_total += Outcomes(registry, static_cast<TransportOutcome>(i));
   }
-  EXPECT_EQ(outcome_total, m.requests);
+  EXPECT_EQ(outcome_total, 50u);
+  EXPECT_GT(Outcomes(registry, TransportOutcome::kTruncated), 0u);
 
-  const std::string table = m.ToTable().ToString();
-  EXPECT_NE(table.find("outcome.ok"), std::string::npos);
-}
-
-TEST(TransportMetrics, MergeAddsEverything) {
-  TransportMetrics a;
-  a.requests = 2;
-  a.attempts = 3;
-  a.RecordAttemptsForRequest(1);
-  a.RecordAttemptsForRequest(2);
-  a.latency.Add(10.0);
-  TransportMetrics b;
-  b.requests = 1;
-  b.attempts = 4;
-  b.RecordAttemptsForRequest(4);
-  b.latency.Add(2000.0);
-
-  a.Merge(b);
-  EXPECT_EQ(a.requests, 3u);
-  EXPECT_EQ(a.attempts, 7u);
-  ASSERT_EQ(a.attempts_histogram.size(), 4u);
-  EXPECT_EQ(a.attempts_histogram[0], 1u);
-  EXPECT_EQ(a.attempts_histogram[3], 1u);
-  EXPECT_EQ(a.latency.count(), 2u);
+  const obs::MetricsSnapshot snap = registry.Snapshot();
+  const obs::HistogramSample* latency =
+      FindHistogram(snap, "transport.latency_ms");
+  const obs::HistogramSample* attempts =
+      FindHistogram(snap, "transport.attempts_per_request");
+  ASSERT_NE(latency, nullptr);
+  ASSERT_NE(attempts, nullptr);
+  EXPECT_EQ(latency->count, 50u);
+  EXPECT_EQ(attempts->count, 50u);
+  EXPECT_EQ(attempts->sum,
+            static_cast<double>(Count(registry, "transport.attempts")));
+  // Sequential client: the clock advances by each query's latency.
+  EXPECT_NEAR(latency->sum, transport.VirtualNowMs(),
+              1e-9 * transport.VirtualNowMs());
 }
 
 }  // namespace

@@ -403,6 +403,10 @@ int Run(const FlagParser& flags) {
                    {.max_k = std::max(k, 1),
                     .index_backend = shards > 1 ? SpatialBackend::kBruteForce
                                                 : SpatialBackend::kKdTree});
+  // The private metric plane --statusz/--prom export. The sharded wire
+  // records its transport.* cells (lanes included) here, so it is built
+  // before the wire.
+  obs::MetricsRegistry registry;
   std::unique_ptr<ShardedLbsServer> sharded;
   std::unique_ptr<ShardedTransport> transport;
   if (shards > 1) {
@@ -410,7 +414,9 @@ int Run(const FlagParser& flags) {
         &dataset, ShardedServerOptions{
                       .num_shards = shards,
                       .server = {.max_k = std::max(k, 1)}});
-    transport = std::make_unique<ShardedTransport>(sharded.get());
+    ShardedTransportOptions topts;
+    topts.registry = &registry;
+    transport = std::make_unique<ShardedTransport>(sharded.get(), topts);
   }
   std::unique_ptr<QuerySampler> sampler;
   if (flags.GetString("sampler") == "uniform") {
@@ -461,7 +467,6 @@ int Run(const FlagParser& flags) {
     const std::string statusz_path = flags.GetString("statusz");
     const std::string prom_path = flags.GetString("prom");
     const bool introspect = !statusz_path.empty() || !prom_path.empty();
-    obs::MetricsRegistry registry;
     obs::introspect::FlightRecorder recorder(4096);
 
     service::ServiceOptions sopts;
